@@ -26,6 +26,7 @@ from repro.core.experiments import SCALES, ExperimentScale, get_experiment
 from repro.core.metrics import GridResult
 from repro.core.sweep import simulate_grid
 from repro.kernels import normalize_thread_spec
+from repro.runner.executors import executor_scope
 
 #: Where benchmark outputs (CSV grids, text tables) are written.
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -126,21 +127,22 @@ def run_figure_experiment(
         kernel_threads = bench_kernel_threads()
     spec = get_experiment(experiment_id)
     grids: Dict[str, GridResult] = {}
-    for config in spec.scaled_configs(scale):
-        grid = simulate_grid(
-            config,
-            scale.p_values,
-            scale.q_values,
-            runs=runs,
-            seed=seed,
-            workers=workers,
-            fastpath=fastpath,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
-        grids[config.display_label] = grid
-        slug = label_slug(config.display_label)
-        grid_to_csv(grid, results_path(f"{experiment_id}_{slug}.csv"))
+    with executor_scope(None, workers) as executor:
+        for config in spec.scaled_configs(scale):
+            grid = simulate_grid(
+                config,
+                scale.p_values,
+                scale.q_values,
+                runs=runs,
+                seed=seed,
+                executor=executor,
+                fastpath=fastpath,
+                kernel=kernel,
+                kernel_threads=kernel_threads,
+            )
+            grids[config.display_label] = grid
+            slug = label_slug(config.display_label)
+            grid_to_csv(grid, results_path(f"{experiment_id}_{slug}.csv"))
     return grids
 
 

@@ -450,6 +450,7 @@ def adaptive_grid(
     cliff brackets.
     """
     from repro.runner.engine import _execute
+    from repro.runner.executors import executor_scope
 
     cfg = resolve_adaptive(adaptive)
     if cfg is None:
@@ -474,91 +475,94 @@ def adaptive_grid(
         seed_scheme=scheme_name,
     )
 
-    def execute(units, total_cells):
-        return _execute(
-            units,
-            executor=executor,
-            workers=workers,
-            cache=store,
-            progress=progress,
-            total_cells=total_cells,
-            fleet=fleet,
-            lease_ttl=lease_ttl,
-            worker_id=worker_id,
-            failure_policy=failure_policy,
-        )
+    # One executor for every round and the cliff refinement: a process
+    # pool starts once and keeps its warm caches across rounds.
+    with executor_scope(executor, workers, failure_policy) as runner:
+        def execute(units, total_cells):
+            return _execute(
+                units,
+                executor=runner,
+                workers=workers,
+                cache=store,
+                progress=progress,
+                total_cells=total_cells,
+                fleet=fleet,
+                lease_ttl=lease_ttl,
+                worker_id=worker_id,
+                failure_policy=failure_policy,
+            )
 
-    cells: List[Cell] = [
-        ((i, j), config, float(p), float(q))
-        for i, p in enumerate(p_values)
-        for j, q in enumerate(q_values)
-    ]
-    unit_failures: List[UnitFailure] = []
-    state = _run_cells(
-        cells,
-        cfg,
-        runs,
-        plan_kwargs=plan_kwargs,
-        execute=execute,
-        failures_out=unit_failures,
-    )
-
-    shape = (p_values.size, q_values.size)
-    mean_inefficiency = np.full(shape, np.nan)
-    mean_received = np.full(shape, np.nan)
-    failure_counts = np.zeros(shape, dtype=np.int64)
-    runs_per_cell = np.zeros(shape, dtype=np.int64)
-    settled = np.zeros(shape, dtype=bool)
-    rounds_per_cell = np.zeros(shape, dtype=np.int64)
-    for i in range(p_values.size):
-        for j in range(q_values.size):
-            run = state[(i, j)]
-            inefficiency, received, cell_failures = merge_cell(run.results)
-            mean_inefficiency[i, j] = inefficiency
-            mean_received[i, j] = received
-            failure_counts[i, j] = cell_failures
-            runs_per_cell[i, j] = run.planned_runs
-            settled[i, j] = run.settled
-            rounds_per_cell[i, j] = run.rounds
-
-    executed = int(runs_per_cell.sum())
-    exhaustive = int(len(cells) * runs)
-    adaptive_meta = {
-        "confidence": cfg.confidence,
-        "ci_width": cfg.ci_width,
-        "rel_tol": cfg.rel_tol,
-        "min_runs": cfg.min_runs,
-        "growth": cfg.growth,
-        "budget": runs,
-        "schedule": round_schedule(cfg.min_runs, cfg.growth, runs),
-        "rounds": int(rounds_per_cell.max()) if rounds_per_cell.size else 0,
-        "runs_per_cell": runs_per_cell.tolist(),
-        "settled": settled.tolist(),
-        "executed_runs": executed,
-        "exhaustive_runs": exhaustive,
-        "saved_runs": exhaustive - executed,
-        "saved_fraction": (
-            (exhaustive - executed) / exhaustive if exhaustive else 0.0
-        ),
-    }
-
-    if cfg.refine_cliff:
-        decodable = (failure_counts == 0) & np.isfinite(mean_inefficiency)
-        refined_rows, cliffs, refined_runs = _refine_cliffs(
+        cells: List[Cell] = [
+            ((i, j), config, float(p), float(q))
+            for i, p in enumerate(p_values)
+            for j, q in enumerate(q_values)
+        ]
+        unit_failures: List[UnitFailure] = []
+        state = _run_cells(
+            cells,
             cfg,
             runs,
-            config,
-            p_values,
-            q_values,
-            decodable,
             plan_kwargs=plan_kwargs,
             execute=execute,
             failures_out=unit_failures,
         )
-        adaptive_meta["refined"] = refined_rows
-        adaptive_meta["cliffs"] = cliffs
-        adaptive_meta["refined_runs"] = refined_runs
-        adaptive_meta["resolution"] = cfg.refine_resolution
+
+        shape = (p_values.size, q_values.size)
+        mean_inefficiency = np.full(shape, np.nan)
+        mean_received = np.full(shape, np.nan)
+        failure_counts = np.zeros(shape, dtype=np.int64)
+        runs_per_cell = np.zeros(shape, dtype=np.int64)
+        settled = np.zeros(shape, dtype=bool)
+        rounds_per_cell = np.zeros(shape, dtype=np.int64)
+        for i in range(p_values.size):
+            for j in range(q_values.size):
+                run = state[(i, j)]
+                inefficiency, received, cell_failures = merge_cell(run.results)
+                mean_inefficiency[i, j] = inefficiency
+                mean_received[i, j] = received
+                failure_counts[i, j] = cell_failures
+                runs_per_cell[i, j] = run.planned_runs
+                settled[i, j] = run.settled
+                rounds_per_cell[i, j] = run.rounds
+
+        executed = int(runs_per_cell.sum())
+        exhaustive = int(len(cells) * runs)
+        adaptive_meta = {
+            "confidence": cfg.confidence,
+            "ci_width": cfg.ci_width,
+            "rel_tol": cfg.rel_tol,
+            "min_runs": cfg.min_runs,
+            "growth": cfg.growth,
+            "budget": runs,
+            "schedule": round_schedule(cfg.min_runs, cfg.growth, runs),
+            "rounds": int(rounds_per_cell.max()) if rounds_per_cell.size else 0,
+            "runs_per_cell": runs_per_cell.tolist(),
+            "settled": settled.tolist(),
+            "executed_runs": executed,
+            "exhaustive_runs": exhaustive,
+            "saved_runs": exhaustive - executed,
+            "saved_fraction": (
+                (exhaustive - executed) / exhaustive if exhaustive else 0.0
+            ),
+        }
+
+        if cfg.refine_cliff:
+            decodable = (failure_counts == 0) & np.isfinite(mean_inefficiency)
+            refined_rows, cliffs, refined_runs = _refine_cliffs(
+                cfg,
+                runs,
+                config,
+                p_values,
+                q_values,
+                decodable,
+                plan_kwargs=plan_kwargs,
+                execute=execute,
+                failures_out=unit_failures,
+            )
+            adaptive_meta["refined"] = refined_rows
+            adaptive_meta["cliffs"] = cliffs
+            adaptive_meta["refined_runs"] = refined_runs
+            adaptive_meta["resolution"] = cfg.refine_resolution
 
     metadata = {
         "code": config.code,

@@ -31,6 +31,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import GridResult
 from repro.core.sweep import simulate_grid
 from repro.runner.engine import CacheSpec, ExecutorSpec, ProgressCallback
+from repro.runner.executors import executor_scope
 from repro.utils.rng import RandomState
 
 #: Callback invoked with the 1-based index of the configuration about to be
@@ -330,29 +331,32 @@ def run_experiment(
             raise KeyError(f"unknown scale {scale!r}; available: {', '.join(SCALES)}")
         scale = SCALES[scale]
     results: Dict[str, GridResult] = {}
-    for index, config in enumerate(spec.scaled_configs(scale), start=1):
-        progress = progress_factory(index) if progress_factory is not None else None
-        grid = simulate_grid(
-            config,
-            scale.p_values,
-            scale.q_values,
-            runs=runs if runs is not None else scale.runs,
-            seed=seed,
-            progress=progress,
-            executor=executor,
-            workers=workers,
-            cache=cache,
-            fastpath=fastpath,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
-            seed_scheme=seed_scheme,
-            fleet=fleet,
-            lease_ttl=lease_ttl,
-            worker_id=worker_id,
-            failure_policy=failure_policy,
-            adaptive=adaptive,
-        )
-        results[config.display_label] = grid
+    # One executor for every config: a process pool starts once per
+    # experiment, not once per config.
+    with executor_scope(executor, workers, failure_policy) as runner:
+        for index, config in enumerate(spec.scaled_configs(scale), start=1):
+            progress = progress_factory(index) if progress_factory is not None else None
+            grid = simulate_grid(
+                config,
+                scale.p_values,
+                scale.q_values,
+                runs=runs if runs is not None else scale.runs,
+                seed=seed,
+                progress=progress,
+                executor=runner,
+                workers=workers,
+                cache=cache,
+                fastpath=fastpath,
+                kernel=kernel,
+                kernel_threads=kernel_threads,
+                seed_scheme=seed_scheme,
+                fleet=fleet,
+                lease_ttl=lease_ttl,
+                worker_id=worker_id,
+                failure_policy=failure_policy,
+                adaptive=adaptive,
+            )
+            results[config.display_label] = grid
     return results
 
 

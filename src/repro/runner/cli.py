@@ -88,6 +88,17 @@ from repro.store import (
     resolve_store,
 )
 from repro.store.codec import unit_key as compute_unit_key
+from repro.utils.validation import validate_positive_int
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1, rejected at parse time."""
+    try:
+        return validate_positive_int(int(text), "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,11 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SCALES),
         help="experiment scale (default: small)",
     )
-    run.add_argument("--runs", type=int, default=None, help="override runs per grid point")
+    run.add_argument(
+        "--runs", type=_positive_int, default=None, help="override runs per grid point"
+    )
     run.add_argument("--seed", type=int, default=0, help="top-level seed (default: 0)")
     run.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="process-pool size; omit or 1 for the serial executor",
     )
@@ -283,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--min-runs",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help=(
@@ -294,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--max-runs",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -864,6 +877,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if (
+        args.command == "run"
+        and args.max_runs is not None
+        and args.min_runs > args.max_runs
+    ):
+        parser.error(
+            f"--min-runs ({args.min_runs}) exceeds --max-runs ({args.max_runs})"
+        )
     out, err = sys.stdout, sys.stderr
     try:
         if args.command == "list-experiments":

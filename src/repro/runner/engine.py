@@ -30,7 +30,7 @@ from repro.resilience.policy import (
 )
 from repro.resilience.report import write_quarantine
 from repro.resilience.retry import RetryingStore
-from repro.runner.executors import Executor, resolve_executor
+from repro.runner.executors import Executor, executor_scope
 from repro.runner.fleet import DEFAULT_LEASE_TTL, FleetRunner
 from repro.kernels.threads import ThreadSpec
 from repro.runner.units import (
@@ -90,6 +90,11 @@ def _execute(
     have (a wholly failed cell becomes the paper's NaN rule).
     """
     failure_policy = resolve_policy(failure_policy)
+    if fleet and cache is None:
+        raise ValueError(
+            "fleet execution needs a shared result store; pass "
+            "cache= a lease-capable store (e.g. 'sqlite:results.db')"
+        )
     if failure_policy is not None:
         cache = RetryingStore.wrap(cache, failure_policy)
     results: Dict[Tuple[SeedPath, int], UnitResult] = {}
@@ -142,24 +147,19 @@ def _execute(
                 write_quarantine(cache, failure)
             note_done(failure.seed_path)
 
-        runner: Executor = resolve_executor(executor, workers, failure_policy)
-        if fleet:
-            if cache is None:
-                raise ValueError(
-                    "fleet execution needs a shared result store; pass "
-                    "cache= a lease-capable store (e.g. 'sqlite:results.db')"
+        with executor_scope(executor, workers, failure_policy) as runner:
+            if fleet:
+                runner = FleetRunner(
+                    cache,
+                    executor=runner,
+                    worker_id=worker_id,
+                    lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
+                    policy=failure_policy,
                 )
-            runner = FleetRunner(
-                cache,
-                executor=runner,
-                worker_id=worker_id,
-                lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
-                policy=failure_policy,
-            )
-        if failure_policy is None:
-            runner.run(pending, on_result)
-        else:
-            runner.run(pending, on_result, on_failure)
+            if failure_policy is None:
+                runner.run(pending, on_result)
+            else:
+                runner.run(pending, on_result, on_failure)
 
     return results, failures
 

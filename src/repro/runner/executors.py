@@ -10,9 +10,10 @@ Three strategies are provided behind one tiny interface
   ``concurrent.futures.ProcessPoolExecutor`` in chunks.  Because every
   unit derives its own seeds, completion order does not matter: the engine
   reassembles cells by their ``seed_path``, so parallel results are
-  bit-identical to serial ones.  Each worker process pre-warms the
-  shared-code + compiled-prototype caches in its pool initializer, so the
-  per-process compile cost is paid at pool start-up, in parallel.
+  bit-identical to serial ones.  The pool starts on the first ``run()``
+  and serves every later one until :meth:`~ProcessExecutor.close`, so
+  each worker builds a shared code or compiles a prototype once per
+  process, not once per adaptive round, config or fleet claim batch.
 * :class:`ThreadExecutor` fans units out over an in-process thread pool:
   no pickling, and every worker shares the per-backend compiled-prototype
   cache, the shared-code cache and NumPy buffers.  The compiled kernels
@@ -39,6 +40,12 @@ to the ``on_failure`` callback.  The retry loop runs inside the worker
 process (outcomes are picklable), so the policy costs nothing on the
 fault-free path.
 
+Ownership rule: every executor has ``close()`` (a no-op except for the
+process pool).  Whoever resolves an executor from a *name* owns it and
+closes it when done -- the sweep entry points all do so through
+:func:`executor_scope` -- while an instance passed in is borrowed and
+left open for its owner.
+
 :class:`~repro.runner.fleet.FleetRunner` implements the same protocol on
 top of a shared result store's lease API, wrapping one of these executors
 for the units it wins -- an executor is "how this process runs units",
@@ -57,8 +64,10 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterator, Optional, Protocol, Sequence, Union
 
 from repro.kernels.threads import set_worker_divisor, worker_divisor_context
 from repro.resilience.errors import PoisonUnitError
@@ -70,14 +79,7 @@ from repro.resilience.policy import (
     run_unit_with_policy,
     run_units_with_policy,
 )
-from repro.runner.units import (
-    UnitResult,
-    WorkUnit,
-    execute_unit,
-    execute_units,
-    warm_unit,
-    warm_units,
-)
+from repro.runner.units import UnitResult, WorkUnit, execute_unit, execute_units
 from repro.utils.validation import validate_positive_int
 
 OnResult = Callable[[UnitResult], None]
@@ -147,6 +149,9 @@ class SerialExecutor:
             )
             deliver_outcome(outcome, self.policy, on_result, on_failure)
 
+    def close(self) -> None:
+        """Nothing to release; runs hold no state between calls."""
+
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     """A fork-safe multiprocessing context for the process pool.
@@ -165,32 +170,23 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def _init_pool_worker(warm: Sequence[WorkUnit], divisor: int) -> None:
-    """Process-pool worker initializer: thread divisor + cache pre-warm.
-
-    Runs once per worker process, at pool start-up: declares the pool
-    size to the kernel-thread resolver (so ``auto`` kernel threads obey
-    the oversubscription rule) and pre-compiles the shared codes and
-    decoder prototypes the planned units will need -- in parallel across
-    workers, instead of serialised inside each worker's first chunk.
-    Warming is strictly an optimisation, so any failure is swallowed:
-    execution will rebuild (or degrade) exactly as it would have.
-    """
-    set_worker_divisor(divisor)
-    for unit in warm:
-        try:
-            warm_unit(unit)
-        except Exception:  # pragma: no cover - warming must never kill a pool
-            pass
-
-
 class ProcessExecutor:
     """Execute units on a process pool with chunked dispatch.
+
+    The pool starts lazily on the first :meth:`run` and every later
+    ``run()`` reuses it, so the workers' per-process caches (shared codes,
+    compiled prototypes, loaded kernels) carry over from one adaptive
+    round, config or fleet claim batch to the next.  :meth:`close` -- or
+    leaving a ``with ProcessExecutor(...)`` block -- shuts it down.  A
+    pool that breaks (a worker died) fails the ``run()`` that saw it with
+    :class:`~concurrent.futures.process.BrokenProcessPool` and is dropped,
+    so the next ``run()`` starts a fresh one.
 
     Parameters
     ----------
     workers:
-        Pool size; defaults to ``os.cpu_count()``.
+        Pool size (and the kernel-thread divisor every worker declares);
+        defaults to ``os.cpu_count()``.
     chunk_size:
         Units per task sent to a worker.  The default targets about four
         chunks per worker, which amortises pickling overhead while keeping
@@ -225,6 +221,19 @@ class ProcessExecutor:
             else 4 * self.workers
         )
         self.policy = resolve_policy(policy)
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "ProcessExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the pool down (idempotent); a later ``run()`` starts a new one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _chunks(self, units: Sequence[WorkUnit]) -> list[list[WorkUnit]]:
         if self.chunk_size is not None:
@@ -245,17 +254,21 @@ class ProcessExecutor:
             task = execute_units
         else:
             task = partial(run_units_with_policy, policy=self.policy)
-        chunks = self._chunks(units)
-        pool_size = min(self.workers, len(chunks))
-        with ProcessPoolExecutor(
-            max_workers=pool_size,
-            mp_context=_pool_context(),
-            initializer=_init_pool_worker,
-            initargs=(warm_units(units), pool_size),
-        ) as pool:
-            pending = set()
-            queued = iter(chunks)
-            exhausted = False
+        if self._pool is None:
+            # Each worker declares the pool size to the kernel-thread
+            # resolver, so ``auto`` kernel threads obey the
+            # oversubscription rule.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=_pool_context(),
+                initializer=set_worker_divisor,
+                initargs=(self.workers,),
+            )
+        pool = self._pool
+        pending = set()
+        queued = iter(self._chunks(units))
+        exhausted = False
+        try:
             while pending or not exhausted:
                 while not exhausted and len(pending) < self.max_pending:
                     chunk = next(queued, None)
@@ -275,6 +288,13 @@ class ProcessExecutor:
                             deliver_outcome(
                                 outcome, self.policy, on_result, on_failure
                             )
+        except BrokenProcessPool:
+            self.close()
+            raise
+        finally:
+            # An aborted run leaves nothing queued for the next one.
+            for future in pending:
+                future.cancel()
 
 
 class ThreadExecutor:
@@ -369,6 +389,9 @@ class ThreadExecutor:
                             future.result(), self.policy, on_result, on_failure
                         )
 
+    def close(self) -> None:
+        """Nothing to release; each ``run()`` owns its thread pool."""
+
 
 def resolve_executor(
     executor: Union[str, Executor, None],
@@ -400,12 +423,35 @@ def resolve_executor(
     )
 
 
+@contextmanager
+def executor_scope(
+    executor: Union[str, Executor, None],
+    workers: Optional[int] = None,
+    policy: Optional[FailurePolicy] = None,
+) -> Iterator[Executor]:
+    """Resolve ``executor`` for a ``with`` block, per the ownership rule.
+
+    A name (or ``None``) is resolved here and closed on exit, so every
+    config or adaptive round run inside one scope shares one process
+    pool; an instance is borrowed, yielded as-is and left open.
+    """
+    if executor is not None and not isinstance(executor, str):
+        yield executor
+        return
+    owned = resolve_executor(executor, workers, policy)
+    try:
+        yield owned
+    finally:
+        owned.close()
+
+
 __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
     "ThreadExecutor",
     "resolve_executor",
+    "executor_scope",
     "deliver_outcome",
     "OnResult",
     "OnFailure",

@@ -299,45 +299,6 @@ def _shared_code(unit: WorkUnit):
     return code
 
 
-def warm_unit(unit: WorkUnit) -> None:
-    """Pre-build the shared state ``unit`` will need: code + prototype.
-
-    Called by pool initializers so a fresh worker pays the per-process
-    code build and prototype compile during pool start-up (in parallel
-    across workers) instead of serialised inside its first chunk.
-    Best-effort by design: units whose execution would not touch the
-    shared caches (fresh code per run, incremental path) warm nothing,
-    and kernel resolution degrades exactly as it would at execution time.
-    """
-    if unit.fresh_code_per_run or not unit.fastpath:
-        return
-    from repro.fastpath.prototypes import compile_prototype
-    from repro.kernels.registry import get_backend_for_run
-
-    compile_prototype(_shared_code(unit), get_backend_for_run(unit.kernel))
-
-
-def warm_units(units: Sequence[WorkUnit], limit: int = 8) -> List[WorkUnit]:
-    """One representative unit per distinct shared-code identity.
-
-    The pre-warm set a pool initializer should compile, capped so the
-    initializer stays cheap for sweeps with very many configurations.
-    """
-    seen = set()
-    representatives: List[WorkUnit] = []
-    for unit in units:
-        if unit.fresh_code_per_run or not unit.fastpath:
-            continue
-        key = (_shared_code_key(unit), unit.kernel)
-        if key in seen:
-            continue
-        seen.add(key)
-        representatives.append(unit)
-        if len(representatives) >= limit:
-            break
-    return representatives
-
-
 def _unit_streams(unit: WorkUnit) -> UnitStreams:
     """Resolve the unit's random streams through its seed scheme."""
     return get_scheme(unit.seed_scheme).unit_streams(
@@ -503,7 +464,5 @@ __all__ = [
     "plan_units",
     "execute_unit",
     "execute_units",
-    "warm_unit",
-    "warm_units",
     "merge_cell",
 ]

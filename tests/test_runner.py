@@ -380,6 +380,26 @@ class TestCLI:
         assert result.returncode == 2
         assert "unknown experiment" in result.stderr
 
+    @pytest.mark.parametrize(
+        "bad_args, message",
+        [
+            (("--workers", "0"), "argument --workers"),
+            (("--runs", "0"), "argument --runs"),
+            (
+                ("--adaptive", "--min-runs", "8", "--max-runs", "4"),
+                "--min-runs (8) exceeds --max-runs (4)",
+            ),
+        ],
+    )
+    def test_bad_counts_rejected_at_parse_time(self, bad_args, message, tmp_path):
+        result = self._run(
+            "run", "fig07", "--scale", "tiny", "--no-cache", "--quiet", *bad_args,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert message in result.stderr
+
     def test_cache_info_and_clear(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         self._run(
