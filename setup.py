@@ -1,11 +1,28 @@
-"""Setuptools shim.
+"""Setuptools script for the ``repro`` package (sources under ``src/``).
 
 The offline environment used for this reproduction ships an older
 setuptools without the ``wheel`` package, so PEP 660 editable installs are
-unavailable; this ``setup.py`` lets ``pip install -e .`` fall back to the
-legacy ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+unavailable; ``pip install -e .`` falls back to the legacy
+``setup.py develop`` path, which reads the metadata below.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=(
+        "Reproduction of 'Impacts of packet scheduling and packet loss "
+        "distribution on FEC performances'"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

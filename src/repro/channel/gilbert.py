@@ -103,13 +103,13 @@ class GilbertChannel(LossModel):
 
         The chain is memoryless, so given the initial state (drawn from the
         stationary distribution) the residual sojourn times are geometric.
-        Sojourn lengths are drawn here in batches -- one uniform for the
-        initial state, then alternating geometric batches, exactly the draw
-        sequence of :meth:`_loss_mask_serial` -- and expanded into the mask
-        by the selected :mod:`repro.kernels` backend (vectorised
-        ``np.repeat`` on numpy, a compiled loop on numba).  Every backend
-        consumes the generator identically and produces masks bit-identical
-        to the historical serial chain for any seed.
+        One uniform picks the initial state, then the selected
+        :mod:`repro.kernels` backend draws alternating geometric sojourn
+        batches -- exactly the draw sequence of :meth:`_loss_mask_serial`
+        -- and expands them into the mask (in C on cext, through numpy's
+        own ``random_geometric``).  Every backend consumes the generator
+        identically and produces masks bit-identical to the historical
+        serial chain for any seed.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -126,14 +126,9 @@ class GilbertChannel(LossModel):
     ) -> np.ndarray:
         """One mask per generator, filled into a single ``(runs, count)`` array.
 
-        The chain draws stay per run -- they are what defines each run's
-        stream, so row ``i`` consumes ``rngs[i]`` exactly like
-        :meth:`loss_mask` would -- but everything around them is batched:
-        the first sojourn batch of every run is drawn into two
-        ``(runs, batch)`` matrices and expanded by **one**
-        ``fill_sojourns_batch`` kernel call (for typical parameters that
-        first batch covers the whole mask), and only the rare rows whose
-        sojourns fall short continue chain-style.
+        Row ``i`` consumes ``rngs[i]`` exactly like :meth:`loss_mask` would,
+        with one ``fill_gilbert`` kernel call per row; rows run in order,
+        so runs sharing one generator draw one after the other.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -143,61 +138,9 @@ class GilbertChannel(LossModel):
         if self.q == 0.0:
             return np.broadcast_to(np.ones(count, dtype=bool), (runs, count))
         masks = np.empty((runs, count), dtype=bool)
-        if count == 0 or runs == 0:
-            return masks
         backend = get_backend(kernel)
-        batch_size = self._SOJOURN_BATCH
-        loss_probability = self.global_loss_probability
-        states = np.empty(runs, dtype=bool)
-        gap_runs = np.empty((runs, batch_size), dtype=np.int64)
-        burst_runs = np.empty((runs, batch_size), dtype=np.int64)
-        extras: dict[int, list] = {}
-        for index, rng in enumerate(rngs):
-            rng = ensure_rng(rng)
-            states[index] = rng.random() < loss_probability
-            gap = rng.geometric(self.p, size=batch_size)
-            burst = rng.geometric(self.q, size=batch_size)
-            gap_runs[index] = gap
-            burst_runs[index] = burst
-            # The serial chain draws a run's continuation batches *before*
-            # the next run's draws, which matters when runs share one
-            # generator -- so pre-draw them here, inside the per-run loop.
-            # A batch falls short exactly when its uncapped sojourn total
-            # does (capping only shortens the final used sojourn).  The
-            # fill consumes ONE sojourn per index -- ``burst[i]`` in the
-            # loss state, ``gap[i]`` otherwise, alternating -- so the
-            # total is the strided alternating sum, and each batch's even
-            # sojourn count leaves the starting state unchanged.
-            in_loss_state = bool(states[index])
-
-            def batch_total(gap_batch: np.ndarray, burst_batch: np.ndarray) -> int:
-                first, second = (
-                    (burst_batch, gap_batch) if in_loss_state else (gap_batch, burst_batch)
-                )
-                # Tiny p/q saturate rng.geometric near 2**63 - 1, so the
-                # raw sum could overflow (and a wrapped negative total
-                # would draw batches forever); capping each sojourn at
-                # ``count`` cannot change whether the total reaches it.
-                return int(np.minimum(first[0::2], count).sum()) + int(
-                    np.minimum(second[1::2], count).sum()
-                )
-
-            covered = batch_total(gap, burst)
-            while covered < count:
-                gap = rng.geometric(self.p, size=batch_size)
-                burst = rng.geometric(self.q, size=batch_size)
-                extras.setdefault(index, []).append((gap, burst))
-                covered += batch_total(gap, burst)
-        filled = backend.fill_sojourns_batch(masks, states, gap_runs, burst_runs)
-        for index, batches in extras.items():
-            # An even number of sojourns per batch leaves the state
-            # unchanged, so the initial state still applies.
-            row, row_filled = masks[index], int(filled[index])
-            in_loss_state = bool(states[index])
-            for gap, burst in batches:
-                row_filled = backend.fill_sojourns(
-                    row, row_filled, in_loss_state, gap, burst
-                )
+        for row, rng in zip(masks, rngs):
+            self._fill_mask(row, ensure_rng(rng), backend)
         return masks
 
     def loss_mask_batch_unit(
@@ -210,14 +153,14 @@ class GilbertChannel(LossModel):
     ) -> np.ndarray:
         """One mask per run, all sojourns drawn from ONE shared generator.
 
-        The ``"unit"`` seed scheme's block path (:mod:`repro.seeds`): the
-        per-run pre-draw loop of :meth:`loss_mask_batch` disappears
-        entirely.  Initial states come from one ``(runs,)`` uniform draw,
-        the first sojourn batch of *every* run from two ``(runs, batch)``
-        geometric draws, and the whole block is expanded by a single
+        The ``"unit"`` seed scheme's block path (:mod:`repro.seeds`).
+        Initial states come from one ``(runs,)`` uniform draw, the first
+        sojourn batch of *every* run from two ``(runs, batch)`` geometric
+        draws, and the whole block is expanded by a single
         ``fill_sojourns_batch`` kernel call with per-row fill offsets; only
         the rare rows whose first batch falls short of ``count`` continue
-        chain-style (in row order, so the draw order stays deterministic).
+        with ``fill_gilbert`` (in row order, so the draw order stays
+        deterministic).
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -235,19 +178,11 @@ class GilbertChannel(LossModel):
         gap_runs = rng.geometric(self.p, size=(runs, batch_size))
         burst_runs = rng.geometric(self.q, size=(runs, batch_size))
         filled = backend.fill_sojourns_batch(masks, states, gap_runs, burst_runs)
-        # Unlike loss_mask_batch, the continuation draws here come *after*
-        # the fill (one shared generator, no per-run ordering to
-        # preserve), so the kernel's fill counts directly identify the
-        # rare rows whose first batch fell short.
         for index in np.flatnonzero(filled < count):
-            row, row_filled = masks[index], int(filled[index])
-            in_loss_state = bool(states[index])
-            while row_filled < count:
-                gap = rng.geometric(self.p, size=batch_size)
-                burst = rng.geometric(self.q, size=batch_size)
-                row_filled = backend.fill_sojourns(
-                    row, row_filled, in_loss_state, gap, burst
-                )
+            backend.fill_gilbert(
+                rng, masks[index], int(filled[index]), bool(states[index]),
+                self.p, self.q, batch_size,
+            )
         return masks
 
     def _fill_mask(
@@ -264,17 +199,10 @@ class GilbertChannel(LossModel):
             # Stationary distribution puts all mass on the loss state.
             mask[:] = True
             return
-        batch_size = self._SOJOURN_BATCH
         in_loss_state = bool(rng.random() < self.global_loss_probability)
-        filled = 0
-        while filled < count:
-            gap_runs = rng.geometric(self.p, size=batch_size)
-            burst_runs = rng.geometric(self.q, size=batch_size)
-            # An even number of sojourns per batch leaves the state
-            # unchanged, so ``in_loss_state`` is loop-invariant.
-            filled = backend.fill_sojourns(
-                mask, filled, in_loss_state, gap_runs, burst_runs
-            )
+        backend.fill_gilbert(
+            rng, mask, 0, in_loss_state, self.p, self.q, self._SOJOURN_BATCH
+        )
 
     def _loss_mask_serial(
         self, count: int, rng: Optional[np.random.Generator] = None

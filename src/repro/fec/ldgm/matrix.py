@@ -249,38 +249,34 @@ def _build_left_part(
     A balanced pool (every check row repeated ``ceil(left_degree * k /
     num_checks)`` times) is shuffled and consumed column by column so check
     degrees stay within one of each other; duplicates within a column are
-    re-drawn.
+    re-drawn, column by column in column order (the generator order).
     """
     edges_needed = left_degree * k
     repeats = -(-edges_needed // num_checks)  # ceil division
     pool = np.tile(np.arange(num_checks, dtype=np.int64), repeats)[:edges_needed]
     rng.shuffle(pool)
     assignment = pool.reshape(k, left_degree)
+    columns = np.sort(assignment, axis=1)
+    for col in np.flatnonzero((columns[:, 1:] == columns[:, :-1]).any(axis=1)):
+        columns[col] = np.sort(_deduplicate_rows(assignment[col].copy(), num_checks, rng))
 
-    columns: list[np.ndarray] = []
-    for col in range(k):
-        rows = assignment[col].copy()
-        rows = _deduplicate_rows(rows, num_checks, rng)
-        rows.sort()
-        columns.append(rows)
-
-    per_row: list[list[int]] = [[] for _ in range(num_checks)]
-    for col, rows in enumerate(columns):
-        for row in rows:
-            per_row[int(row)].append(col)
-
-    _fill_empty_rows(per_row, columns, rng)
-
-    source_cols = [np.array(sorted(cols), dtype=np.int64) for cols in per_row]
-    return source_cols
+    # Stable sort by row keeps every row's columns in increasing order.
+    rows = columns.ravel()
+    order = np.argsort(rows, kind="stable")
+    sources = np.repeat(np.arange(k, dtype=np.int64), left_degree)[order]
+    counts = np.bincount(rows, minlength=num_checks)
+    source_cols = np.split(sources, np.cumsum(counts)[:-1])
+    if counts.all():
+        return source_cols
+    per_row = [cols.tolist() for cols in source_cols]
+    _fill_empty_rows(per_row, rng)
+    return [np.array(sorted(cols), dtype=np.int64) for cols in per_row]
 
 
 def _deduplicate_rows(
     rows: np.ndarray, num_checks: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Replace duplicate check rows within one column by fresh random rows."""
-    if np.unique(rows).size == rows.size:
-        return rows
     seen: set[int] = set()
     for i in range(rows.size):
         value = int(rows[i])
@@ -295,9 +291,7 @@ def _deduplicate_rows(
     return rows
 
 
-def _fill_empty_rows(
-    per_row: list[list[int]], columns: list[np.ndarray], rng: np.random.Generator
-) -> None:
+def _fill_empty_rows(per_row: list[list[int]], rng: np.random.Generator) -> None:
     """Guarantee every check row touches at least one source packet.
 
     A check row with no source edge would create a parity packet carrying no
@@ -321,28 +315,25 @@ def _fill_empty_rows(
 def _build_right_part(
     k: int, num_checks: int, variant: LDGMVariant, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Build H2 according to the variant (identity, staircase, triangle)."""
-    parity_cols: list[np.ndarray] = []
-    for row in range(num_checks):
-        cols = {k + row}
-        if variant in (LDGMVariant.STAIRCASE, LDGMVariant.TRIANGLE) and row > 0:
-            cols.add(k + row - 1)
-        if variant is LDGMVariant.TRIANGLE and row >= 2:
-            cols.add(k + _triangle_extra_column(row, rng))
-        parity_cols.append(np.array(sorted(cols), dtype=np.int64))
-    return parity_cols
+    """Build H2 according to the variant (identity, staircase, triangle).
 
-
-def _triangle_extra_column(row: int, rng: np.random.Generator) -> int:
-    """Parity column filled below the staircase for LDGM Triangle.
-
-    Check ``row`` additionally involves one parity packet drawn uniformly
-    from the columns strictly below the staircase (``[0, row - 2]``),
-    creating the "progressive dependency between check nodes" described in
-    the paper while keeping every check row sparse enough for the iterative
-    decoder.
+    LDGM Triangle: check ``row >= 2`` additionally involves one parity
+    packet drawn uniformly from the columns strictly below the staircase
+    (``[0, row - 2]``), creating the "progressive dependency between check
+    nodes" described in the paper while keeping every check row sparse
+    enough for the iterative decoder.  All rows draw in one call, in row
+    order -- the stream of one ``rng.integers(0, row - 1)`` per row.
     """
-    return int(rng.integers(0, row - 1))
+    rows = np.arange(num_checks, dtype=np.int64)
+    if variant is LDGMVariant.LDGM:
+        return list((k + rows)[:, None])
+    staircase = k + np.stack([rows - 1, rows], axis=1)
+    parity_cols = [staircase[0, 1:]]
+    if variant is LDGMVariant.STAIRCASE or num_checks < 3:
+        return parity_cols + list(staircase[1:])
+    extras = k + rng.integers(0, rows[2:] - 1)
+    # extra <= row - 2, so each triple is already sorted and distinct.
+    return parity_cols + [staircase[1]] + list(np.column_stack([extras, staircase[2:]]))
 
 
 __all__ = [

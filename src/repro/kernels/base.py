@@ -2,9 +2,9 @@
 
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
 LDGM peeling cascade behind the gallop+bisect prefix search and the
-Gilbert sojourn fill -- behind a small, swappable surface.  Everything
-else (prototype compilation, closed-form RSE/repetition counting, the
-run/sweep orchestration) is backend-independent numpy.
+Gilbert sojourn draws and fill -- behind a small, swappable surface.
+Everything else (prototype compilation, closed-form RSE/repetition
+counting, the run/sweep orchestration) is backend-independent numpy.
 
 All backends are **bit-identical**: for any input they must produce
 exactly the arrays the incremental reference decoder produces.  The test
@@ -163,6 +163,30 @@ class KernelBackend(abc.ABC):
         batch); each sojourn is capped at the space remaining, exactly as
         the serial reference chain caps it.  Returns the new fill count.
         """
+
+    def fill_gilbert(
+        self,
+        rng: np.random.Generator,
+        mask: np.ndarray,
+        filled: int,
+        in_loss_state: bool,
+        p: float,
+        q: float,
+        batch: int,
+    ) -> int:
+        """Continue one Gilbert chain from ``filled`` until ``mask`` is full.
+
+        Per round ``rng.geometric(p, size=batch)`` gaps, then as many ``q``
+        bursts, expanded by :meth:`fill_sojourns`: the draw order of every
+        backend.  Returns ``mask.shape[0]``.
+        """
+        while filled < mask.shape[0]:
+            gap_runs = rng.geometric(p, size=batch)
+            burst_runs = rng.geometric(q, size=batch)
+            # An even number of sojourns per batch leaves the state
+            # unchanged, so ``in_loss_state`` is loop-invariant.
+            filled = self.fill_sojourns(mask, filled, in_loss_state, gap_runs, burst_runs)
+        return filled
 
     def fill_sojourns_batch(
         self,

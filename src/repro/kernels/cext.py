@@ -1,7 +1,9 @@
 """On-demand C extension backend: the loop kernels compiled with the
 system C compiler.
 
-The same two kernels as :mod:`repro.kernels.loops`, written in C,
+The same two kernels as :mod:`repro.kernels.loops`, written in C, plus
+``fill_gilbert``, which also draws the sojourns (numpy's own
+``random_geometric``, linked from its static ``libnpyrandom.a``),
 compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
 directory keyed by the source hash, and loaded through :mod:`ctypes` --
 no build-time dependency, no pip package, and fully optional: when no C
@@ -51,10 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = logging.getLogger("repro.kernels")
 
-#: C translation of :func:`repro.kernels.loops.ldgm_peel_batch` and
-#: :func:`repro.kernels.loops.fill_sojourns`.  Keep the two in lockstep:
-#: the cross-backend tests enforce bit-identical behaviour, and the
-#: Python loops are the readable specification of these kernels.
+#: C translation of :func:`repro.kernels.loops.ldgm_peel_batch`,
+#: :func:`repro.kernels.loops.fill_sojourns` and
+#: :meth:`repro.kernels.base.KernelBackend.fill_gilbert`.  Keep them in
+#: lockstep: the cross-backend tests enforce bit-identical behaviour, and
+#: the Python code is the readable specification of these kernels.
 #:
 #: Without ``-fopenmp`` the pragmas are ignored and ``_OPENMP`` is
 #: undefined, so the same source builds the serial fallback library.
@@ -167,6 +170,29 @@ int64_t fill_sojourns(
     return filled;
 }
 
+#ifdef REPRO_NPYRANDOM
+typedef struct bitgen bitgen_t; /* numpy's; opaque here */
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
+
+int64_t fill_gilbert(
+    bitgen_t *bitgen, uint8_t *mask, int64_t filled, int64_t count,
+    int in_loss_state, double p, double q, int64_t batch,
+    int64_t *gap_runs, int64_t *burst_runs)
+{
+    /* Per round rng.geometric(p, size=batch), then rng.geometric(q,
+       size=batch), draw for draw; the caller holds the generator lock. */
+    while (filled < count) {
+        for (int64_t i = 0; i < batch; i++)
+            gap_runs[i] = random_geometric(bitgen, p);
+        for (int64_t i = 0; i < batch; i++)
+            burst_runs[i] = random_geometric(bitgen, q);
+        filled = fill_sojourns(
+            mask, filled, count, in_loss_state, gap_runs, burst_runs, batch);
+    }
+    return filled;
+}
+#endif
+
 void fill_sojourns_batch(
     uint8_t *masks, int64_t count, const uint8_t *states,
     const int64_t *gap_runs, const int64_t *burst_runs,
@@ -213,25 +239,32 @@ def _extra_cflags() -> list[str]:
     return shlex.split(os.environ.get("CFLAGS", ""))
 
 
-def _compile(cc: str, source: Path, artefact: Path, *, openmp: bool):
-    command = [cc, "-O2", "-shared", "-fPIC"]
-    if openmp:
-        command.append("-fopenmp")
-    command += [*_extra_cflags(), "-o", str(artefact), str(source)]
+def _npyrandom_archive() -> Path:
+    """numpy's static distributions library (``random_geometric`` lives here)."""
+    return Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+def _compile(cc: str, source: Path, artefact: Path, *, openmp: bool, archive: Path | None):
+    flags = ["-fopenmp"] if openmp else []
+    link = [] if archive is None else [str(archive), "-lm"]
+    if archive is not None:
+        flags.append("-DREPRO_NPYRANDOM")
+    command = [cc, "-O2", "-shared", "-fPIC", *flags, *_extra_cflags()]
+    command += ["-o", str(artefact), str(source), *link]
     return subprocess.run(command, capture_output=True, text=True)
 
 
 def _build_library() -> Path:
     """Compile the kernels into the cache (once per source revision).
 
-    The OpenMP build (``-fopenmp``) is probed first; when the probe
-    compile fails -- no libgomp, a compiler without OpenMP support, a
-    poisoned ``CFLAGS`` -- one warning is logged and the same source is
-    rebuilt serial (the pragmas are inert without the flag), so the
-    backend degrades to single-threaded kernels instead of disappearing.
-    The cache name encodes source + ``CFLAGS`` + variant, so a cached
-    serial fallback never masks an OpenMP build from a different
-    environment (and vice versa).
+    Two optional features degrade with one logged warning each instead of
+    failing: the OpenMP build (``-fopenmp``; the pragmas are inert without
+    it) and ``fill_gilbert``, which links numpy's ``libnpyrandom.a`` (and
+    is ``#ifdef``-ed out without it).  The first attempt has both; on
+    failure the archive goes first, then OpenMP, then both, and the
+    attempt that succeeds names the culprit.  The cache name encodes
+    source + ``CFLAGS`` + numpy + variant, so a cached fallback never
+    masks a full build from a different environment (and vice versa).
 
     Every environment failure -- no compiler, compile error, unwritable
     cache directory -- surfaces as ``ImportError`` so the registry treats
@@ -241,46 +274,64 @@ def _build_library() -> Path:
     cc = compiler()
     if cc is None:
         raise ImportError("no C compiler (cc) on PATH for the cext backend")
-    seed = "\x00".join([_C_SOURCE, *_extra_cflags()])
+    archive = _npyrandom_archive()
+    variants = [(True, True), (True, False), (False, True), (False, False)]
+    # numpy's version and archive bytes key the cache too: a numpy upgrade
+    # recompiles instead of loading a stale random_geometric.
+    identity = ""
+    if archive.is_file():
+        identity = hashlib.sha256(archive.read_bytes()).hexdigest()
+    else:
+        _warn_gilbert_unavailable(f"numpy ships no {archive}")
+        variants = [(True, False), (False, False)]
+    seed = "\x00".join([_C_SOURCE, *_extra_cflags(), np.__version__, identity])
     digest = hashlib.sha256(seed.encode("utf-8")).hexdigest()[:16]
     cache = _cache_dir()
-    omp_target = cache / f"peel-{digest}-omp.so"
-    serial_target = cache / f"peel-{digest}-serial.so"
+
+    def target(openmp: bool, gilbert: bool) -> Path:
+        tags = ("omp" if openmp else "serial") + ("" if gilbert else "-nogilbert")
+        return cache / f"peel-{digest}-{tags}.so"
+
     try:
-        if omp_target.exists():
-            return omp_target
-        if serial_target.exists():
-            # A previous probe in this environment already failed; stay
-            # serial without recompiling (the warning still fires at
-            # load time, once per process).
-            return serial_target
+        for variant in variants:
+            if target(*variant).exists():
+                # Settled by an earlier build; load time re-warns.
+                return target(*variant)
         cache.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache) as build_dir:
             source = Path(build_dir) / "peel.c"
             source.write_text(_C_SOURCE, encoding="utf-8")
             artefact = Path(build_dir) / "peel.so"
-            probe = _compile(cc, source, artefact, openmp=True)
-            if probe.returncode == 0:
+            failures: dict = {}
+            for openmp, gilbert in variants:
+                result = _compile(
+                    cc, source, artefact, openmp=openmp, archive=archive if gilbert else None
+                )
+                if result.returncode != 0:
+                    failures[openmp, gilbert] = result.stderr.strip()
+                    continue
+                if not openmp:
+                    _warn_openmp_unavailable(
+                        f"probe compile with -fopenmp failed: {failures[True, gilbert]}"
+                    )
+                if (openmp, True) in failures:
+                    _warn_gilbert_unavailable(
+                        f"link against {archive} failed: {failures[openmp, True]}"
+                    )
                 # Atomic publish so concurrent processes never load a
                 # half-written library; losing the race is fine, the
                 # content is identical.
-                os.replace(artefact, omp_target)
-                return omp_target
-            _warn_openmp_unavailable(
-                f"probe compile with -fopenmp failed: {probe.stderr.strip()}"
+                os.replace(artefact, target(openmp, gilbert))
+                return target(openmp, gilbert)
+            raise ImportError(
+                f"C compile of the cext kernels failed: {failures[variants[-1]]}"
             )
-            result = _compile(cc, source, artefact, openmp=False)
-            if result.returncode != 0:
-                raise ImportError(
-                    f"C compile of the cext kernels failed: {result.stderr.strip()}"
-                )
-            os.replace(artefact, serial_target)
-            return serial_target
     except OSError as exc:
         raise ImportError(f"cext kernel build failed: {exc}") from exc
 
 
 _openmp_warned = False
+_gilbert_warned = False
 
 
 def _warn_openmp_unavailable(detail: str) -> None:
@@ -297,6 +348,17 @@ def _warn_openmp_unavailable(detail: str) -> None:
         "cext OpenMP unavailable (%s); serving single-threaded cext kernels "
         "(results unchanged, kernel_threads forced to 1)",
         detail,
+    )
+
+
+def _warn_gilbert_unavailable(detail: str) -> None:
+    """Like the OpenMP warning: Python draws stream identically, only slower."""
+    global _gilbert_warned
+    if _gilbert_warned:
+        return
+    _gilbert_warned = True
+    logger.warning(
+        "cext Gilbert kernel unavailable (%s); drawing sojourns in Python", detail
     )
 
 
@@ -323,6 +385,15 @@ def _load_library() -> ctypes.CDLL:
         _U8, ctypes.c_int64, _U8, _I64, _I64,
         ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64,
     ]
+    if hasattr(lib, "fill_gilbert"):
+        lib.fill_gilbert.restype = ctypes.c_int64
+        lib.fill_gilbert.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p,
+        ]
+    else:
+        _warn_gilbert_unavailable("library built without libnpyrandom")
     if not lib.peel_openmp():
         _warn_openmp_unavailable("library built without OpenMP")
     return lib
@@ -349,6 +420,8 @@ class CExtBackend(KernelBackend):
         self._lib = _load_library()
         #: Whether the loaded library was built with OpenMP (provenance).
         self.openmp = bool(self._lib.peel_openmp())
+        #: The Gilbert chain kernel; None falls back to Python draws.
+        self._fill_gilbert = getattr(self._lib, "fill_gilbert", None)
 
     def _team_size(self, num_runs: int) -> int:
         if not self.openmp:
@@ -415,6 +488,29 @@ class CExtBackend(KernelBackend):
                 int(gap_runs.shape[0]),
             )
         )
+
+    def fill_gilbert(
+        self,
+        rng: np.random.Generator,
+        mask: np.ndarray,
+        filled: int,
+        in_loss_state: bool,
+        p: float,
+        q: float,
+        batch: int,
+    ) -> int:
+        # numpy's own random_geometric on the generator's bitgen_t, under
+        # the generator's lock, so the draws are rng.geometric's exactly.
+        if self._fill_gilbert is None or not mask.flags.c_contiguous:
+            return super().fill_gilbert(rng, mask, filled, in_loss_state, p, q, batch)
+        scratch = np.empty((2, batch), dtype=np.int64)
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            return self._fill_gilbert(
+                bit_generator.ctypes.bit_generator, mask.ctypes.data, int(filled),
+                mask.shape[0], int(bool(in_loss_state)), p, q, batch,
+                scratch[0].ctypes.data, scratch[1].ctypes.data,
+            )
 
     def fill_sojourns_batch(
         self,

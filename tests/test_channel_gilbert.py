@@ -1,10 +1,14 @@
 """Unit tests for the Gilbert (two-state Markov) channel model."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.channel import GilbertChannel
 from repro.channel.gilbert import PAPER_GRID_PERCENT, paper_grid
+from repro.kernels import available_backends
 
 
 class TestParameters:
@@ -131,3 +135,84 @@ class TestLossMask:
 
     def test_repr(self):
         assert "p=0.1" in repr(GilbertChannel(0.1, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# Stream goldens: every mask path pinned to recorded mask bytes and the
+# post-call generator state, on every available kernel backend.
+# ---------------------------------------------------------------------------
+
+GOLDEN_COUNT = 50_000
+GOLDEN_RUNS = 3
+#: 1e-12 saturates ``rng.geometric`` at the int64 cap; 0.33 / 0.34 sit on
+#: either side of numpy's inversion/search switch at p = 1/3.
+GOLDEN_PROBABILITIES = (1e-12, 0.01, 0.33, 0.34, 0.5, 0.999, 1.0)
+GOLDEN_BIT_GENERATORS = {"pcg64": np.random.PCG64, "philox": np.random.Philox}
+
+#: sha256 over all (p, q) pairs of mask bytes + post-call generator state,
+#: recorded with the sojourns drawn by ``rng.geometric`` in Python: the
+#: stream every backend, compiled draws included, must keep.
+GOLDEN_DIGESTS = {
+    "loss_mask/pcg64": "a89f6dd19de09e5eb5a43c717f8d791bbc32755242a402fa4ecf06d3aaecdc67",
+    "loss_mask/philox": "c6ee8003785a3843be0893714ae9ba3524fff6d6ce87bad41ced11fe75e653f5",
+    "batch_distinct/pcg64": "bd045d3eb4a8c8b84255b668e3ae8519f5802e990dfe0a24b97440ad77d5fa44",
+    "batch_distinct/philox": "a74c1d4f3930ea442024ff0f3a2ace8f53a3d872219c4c9765a11afe1b45dc38",
+    "batch_repeated/pcg64": "e416d04aea18f292d8076d50a3a32ddb8f41bb8aed776be36dac5ff7aa6394de",
+    "batch_repeated/philox": "3c20999aba9b80b01908ab1dda74d6bf5f242fc121e348c499fbc9b55eab53b7",
+    "unit/pcg64": "5ee9b6e9c84a4544a3567c62b3e9c74b15119440a3b2933635ddff67f3770057",
+    "unit/philox": "baece875c5fbe95c507740b4d2fbb5cb7923d1a8ade31659f64f625d7d45a3db",
+}
+
+
+def _state_bytes(rng):
+    state = rng.bit_generator.state
+    return json.dumps(state, sort_keys=True, default=lambda a: a.tolist()).encode()
+
+
+def _golden_masks(method, bit_generator, kernel):
+    """Yield ``(masks, generators)`` for every (p, q) pair of the grid."""
+    for i, p in enumerate(GOLDEN_PROBABILITIES):
+        for j, q in enumerate(GOLDEN_PROBABILITIES):
+            channel = GilbertChannel(p, q)
+
+            def fresh(offset=0):
+                return np.random.Generator(bit_generator(1000 * i + 10 * j + offset))
+
+            if method == "loss_mask":
+                rng = fresh()
+                yield channel.loss_mask(GOLDEN_COUNT, rng, kernel=kernel), [rng]
+            elif method == "batch_distinct":
+                rngs = [fresh(run) for run in range(GOLDEN_RUNS)]
+                yield channel.loss_mask_batch(GOLDEN_COUNT, rngs, kernel=kernel), rngs
+            elif method == "batch_repeated":
+                rng = fresh()
+                masks = channel.loss_mask_batch(
+                    GOLDEN_COUNT, [rng] * GOLDEN_RUNS, kernel=kernel
+                )
+                yield masks, [rng]
+            else:
+                rng = fresh()
+                masks = channel.loss_mask_batch_unit(
+                    GOLDEN_COUNT, rng, GOLDEN_RUNS, kernel=kernel
+                )
+                yield masks, [rng]
+
+
+def _golden_digest(method, bit_generator, kernel):
+    digest = hashlib.sha256()
+    for masks, generators in _golden_masks(method, bit_generator, kernel):
+        digest.update(np.ascontiguousarray(masks).tobytes())
+        for rng in generators:
+            digest.update(_state_bytes(rng))
+    return digest.hexdigest()
+
+
+class TestStreamGoldens:
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("bit_generator", sorted(GOLDEN_BIT_GENERATORS))
+    @pytest.mark.parametrize(
+        "method", ["loss_mask", "batch_distinct", "batch_repeated", "unit"]
+    )
+    def test_masks_and_generator_state_pinned(self, method, bit_generator, kernel):
+        digest = _golden_digest(method, GOLDEN_BIT_GENERATORS[bit_generator], kernel)
+        assert digest == GOLDEN_DIGESTS[f"{method}/{bit_generator}"]

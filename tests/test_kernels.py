@@ -464,6 +464,63 @@ class TestGilbertFillBackends:
                     assert fast.integers(1 << 30) == slow.integers(1 << 30)
 
 
+@pytest.mark.skipif(not cext_compiler_available(), reason="no C compiler for cext")
+class TestCExtGilbertBuild:
+    """cext draws sojourns through numpy's static ``libnpyrandom.a``."""
+
+    def test_artefact_name_tracks_numpy_version(self, tmp_path, monkeypatch):
+        import repro.kernels.cext as cext
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        first = cext._build_library()
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        second = cext._build_library()
+        assert first.name != second.name
+        assert first.exists() and second.exists()
+
+    def test_missing_archive_falls_back_to_python_draws(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        import repro.kernels.cext as cext
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(
+            cext, "_npyrandom_archive", lambda: tmp_path / "missing" / "libnpyrandom.a"
+        )
+        monkeypatch.setattr(cext, "_gilbert_warned", False)
+        with caplog.at_level("WARNING", logger="repro.kernels"):
+            backend = cext.CExtBackend()
+            cext.CExtBackend()
+        warnings = [
+            record for record in caplog.records
+            if "Gilbert kernel unavailable" in record.getMessage()
+        ]
+        assert len(warnings) == 1
+        assert backend._fill_gilbert is None
+
+        # The decode kernels stay compiled, and masks keep numpy's streams.
+        code = make_code("ldgm-staircase", k=60, expansion_ratio=2.5, seed=5)
+        tx_model = make_tx_model("tx_model_2")
+        channel = GilbertChannel(0.1, 0.4)
+        assert simulate_batch(
+            code, tx_model, channel, seeded_rngs(3, 4), kernel=backend
+        ) == legacy_runs(code, tx_model, channel, seeded_rngs(3, 4))
+        for p, q in ((0.01, 0.3), (0.5, 0.5), (0.9, 0.05)):
+            channel = GilbertChannel(p, q)
+
+            def masks(kernel):
+                return [
+                    channel.loss_mask(5000, np.random.default_rng(1), kernel=kernel),
+                    channel.loss_mask_batch(5000, seeded_rngs(2, 3), kernel=kernel),
+                    channel.loss_mask_batch_unit(
+                        5000, np.random.default_rng(4), 3, kernel=kernel
+                    ),
+                ]
+
+            for fallback, reference in zip(masks(backend), masks("numpy")):
+                assert np.array_equal(fallback, reference), (p, q)
+
+
 class TestSeenMaskDedup:
     def test_dedup_and_scratch_reset(self):
         scratch = np.full(16, -1, dtype=np.int64)

@@ -1,8 +1,11 @@
 """Unit tests for LDGM parity-check-matrix construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.fec.ldgm import matrix as matrix_module
 from repro.fec.ldgm.matrix import (
     DEFAULT_LEFT_DEGREE,
     LDGMVariant,
@@ -148,3 +151,74 @@ class TestAccessors:
     def test_density(self):
         matrix = build_parity_check_matrix(100, 250, "staircase", seed=0)
         assert 0 < matrix.density < 0.1
+
+
+# ---------------------------------------------------------------------------
+# Exact-matrix goldens: construction consumes the generator in a pinned
+# order, so the matrices and the generator state after a build never move.
+# ---------------------------------------------------------------------------
+
+#: (variant, k, n, left_degree) -> sha256 of every row's source and parity
+#: columns plus the generator's next draw after the build.
+GOLDEN_MATRICES = {
+    ("ldgm", 20000, 30000, 3): "5154d8b048bb2b1d9217bf162a606c3d300a33ab3a1024954810869bc916ee2c",
+    ("ldgm", 20000, 50000, 3): "e268c42882d43a8fddd42699caaccacf326ebb214e4bd9e33bb22a0ca22e0109",
+    ("staircase", 20000, 30000, 3): "27e7aa22ce7f5590cc0d6e8d94c13ec17c5938be6b0622a877eb9adc5bca3c7c",
+    ("staircase", 20000, 50000, 3): "fa0d9e5179787bece1ef18cd3c7f6e8e6a9a43cf5324f541561268a5ac0af451",
+    ("triangle", 20000, 30000, 3): "c7a13e521dfa82f1f5d84a98cbd4f390fbb25627ad8f8963ea2cd7bc0d6dff15",
+    ("triangle", 20000, 50000, 3): "07bb00d4963e105e4918f3989d9732f7b254d317f74ca4ec96cc4941e32c91ee",
+    # Two check rows: the left degree is capped below its nominal 3.
+    ("staircase", 40, 42, 3): "856703e824550ed886fb6510ec3a611e3af49d98065ee8d9abd516792555e0f3",
+    ("triangle", 60, 66, 3): "f315aa84bffd4026c620cec8df45f932542c4346cbd6fc7f6eab37bdf10224a6",
+    ("ldgm", 2, 12, 3): "f715966dacccfb9967432fc47401f30e5a9eb04b836f7ace9f3c888c86b6e65c",
+}
+
+#: Plain LDGM on 2 sources leaves most of its 10 check rows empty.
+EMPTY_ROWS_CASE = ("ldgm", 2, 12, 3)
+#: Six check rows for degree-3 columns: duplicate draws are routine.
+DUPLICATES_CASE = ("triangle", 60, 66, 3)
+
+
+def _matrix_digest(variant, k, n, left_degree):
+    rng = np.random.Generator(np.random.PCG64(2005))
+    matrix = build_parity_check_matrix(k, n, variant, left_degree=left_degree, seed=rng)
+    digest = hashlib.sha256()
+    for rows in (matrix.source_cols, matrix.parity_cols):
+        for row in rows:
+            digest.update(np.int64(row.size).tobytes())
+            digest.update(np.asarray(row, dtype=np.int64).tobytes())
+    digest.update(str(int(rng.integers(1 << 62))).encode())
+    return digest.hexdigest()
+
+
+class TestExactMatrices:
+    @pytest.mark.parametrize(
+        "case", sorted(GOLDEN_MATRICES), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_matrix_and_generator_state_pinned(self, case):
+        variant, k, n, left_degree = case
+        assert _matrix_digest(variant, k, n, left_degree) == GOLDEN_MATRICES[case]
+
+    def test_duplicates_case_reaches_deduplication(self, monkeypatch):
+        duplicated = []
+        original = matrix_module._deduplicate_rows
+
+        def spy(rows, num_checks, rng):
+            duplicated.append(np.unique(rows).size < rows.size)
+            return original(rows, num_checks, rng)
+
+        monkeypatch.setattr(matrix_module, "_deduplicate_rows", spy)
+        _matrix_digest(*DUPLICATES_CASE)
+        assert any(duplicated)
+
+    def test_empty_rows_case_reaches_fill(self, monkeypatch):
+        empty = []
+        original = matrix_module._fill_empty_rows
+
+        def spy(per_row, *args):
+            empty.append(any(not cols for cols in per_row))
+            return original(per_row, *args)
+
+        monkeypatch.setattr(matrix_module, "_fill_empty_rows", spy)
+        _matrix_digest(*EMPTY_ROWS_CASE)
+        assert any(empty)

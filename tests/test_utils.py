@@ -1,7 +1,13 @@
 """Unit tests for the shared utilities."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.utils.rng import as_seed_int, derive_seed, ensure_rng, spawn_rngs
 from repro.utils.validation import (
@@ -120,3 +126,14 @@ class TestValidation:
         assert validate_k_n(10, 25) == (10, 25)
         with pytest.raises(ValueError):
             validate_k_n(10, 10)
+
+
+class TestPackaging:
+    def test_setup_py_metadata(self):
+        pytest.importorskip("setuptools")
+        root = Path(__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.split() == ["repro", repro.__version__]
