@@ -7,9 +7,10 @@ path of every sweep.  This package replaces it with array computation that
 is **bit-identical** for any seed:
 
 * :mod:`repro.fastpath.prototypes` -- per-code precompiled decoder state
-  and the batched decode algorithms (closed-form RSE/repetition counting,
-  LDGM peeling on a pluggable :mod:`repro.kernels` backend, incremental
-  fallback).
+  for the batched decode (RSE/repetition distinct-key counting and LDGM
+  peeling, both run by a pluggable :mod:`repro.kernels` backend, plus an
+  incremental fallback); ``decode_batch`` is where received indices are
+  checked against ``[0, n)``.
 * :mod:`repro.fastpath.batch` -- :func:`simulate_batch_columnar`, the
   drop-in batch equivalent of running the simulator once per run: the
   batched :mod:`repro.pipeline` front end (whole-unit schedules, loss
@@ -21,8 +22,8 @@ Selected by default through ``Simulator.run_many(fastpath=True)``, the
 runner work units and the benchmark harness; pass ``fastpath=False`` (or
 ``--no-fastpath`` on the CLI) to fall back to the incremental path, and
 ``kernel=`` / ``--kernel`` / ``REPRO_KERNEL`` to pick the kernel backend
-(numpy reference or the optional numba JIT -- results are bit-identical
-either way).
+(numpy reference, C extension or the optional numba JIT -- results are
+bit-identical either way).
 """
 
 from repro.fastpath.batch import (

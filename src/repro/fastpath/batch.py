@@ -25,6 +25,7 @@ from repro.core.metrics import RunResult, RunResultBatch
 from repro.fastpath.prototypes import (
     NOT_DECODED,
     DecoderPrototype,
+    IncrementalPrototype,
     LDGMPrototype,
     compile_prototype,
 )
@@ -150,28 +151,16 @@ def decode_batch_incremental(code: FECCode, synthesis) -> RunResultBatch:
     the incremental decoder is the reference the batch decoders are proven
     bit-identical against.
     """
-    results: List[RunResult] = []
-    for index, received in enumerate(synthesis.batch.sequences()):
-        decoder = code.new_symbolic_decoder()
-        add_packet = decoder.add_packet
-        n_necessary: Optional[int] = None
-        count = 0
-        for packet in received:
-            count += 1
-            if add_packet(packet):
-                n_necessary = count
-                break
-        results.append(
-            RunResult(
-                decoded=decoder.is_complete,
-                n_necessary=n_necessary,
-                n_received=int(received.size),
-                n_sent=int(synthesis.n_sent[index]),
-                k=code.k,
-                n=code.n,
-            )
-        )
-    return RunResultBatch.from_results(results)
+    batch = synthesis.batch
+    decoded, n_necessary = IncrementalPrototype(code, "numpy").decode_batch(batch)
+    return RunResultBatch(
+        decoded=decoded,
+        n_necessary=n_necessary,
+        n_received=batch.lengths,
+        n_sent=synthesis.n_sent,
+        k=code.k,
+        n=code.n,
+    )
 
 
 def simulate_batch(

@@ -9,20 +9,23 @@ per-row peeling state, block membership tables -- and exposes one operation:
 for a whole batch of runs at once.  The results are bit-identical to feeding
 each run's received sequence through the incremental
 :class:`repro.fec.base.SymbolicDecoder` and stopping at the first packet
-that completes decoding (:meth:`repro.core.simulator.Simulator.run`):
+that completes decoding (:meth:`repro.core.simulator.Simulator.run`).
+``decode_batch`` is also the one place where received indices are checked
+against ``[0, n)``, before any kernel indexes a table with them.
 
 * **MDS block codes (RSE)** -- a block decodes exactly when ``k_b`` distinct
-  packets of it have arrived, so ``n_necessary`` is a closed-form order
-  statistic over the per-block arrival positions: no per-packet work at all.
-* **Repetition** -- same closed form with "block" replaced by "source id".
+  packets of it have arrived: a distinct-key count per block.
+* **Repetition** -- the same count with "block" replaced by "source id".
 * **LDGM family** -- the prototype precompiles the adjacency (CSR both
-  ways, a padded column table, packed count|sum peeling words) and detects
-  the bidiagonal staircase/triangle parity structure; the *decode loops*
-  run on a pluggable :mod:`repro.kernels` backend (vectorised numpy
-  reference, optional numba JIT) selected via ``kernel=`` /
-  ``REPRO_KERNEL``.
+  ways, a padded column table, packed count|sum peeling words, a narrow
+  int32 adjacency with interleaved count/sum rows) and detects the
+  bidiagonal staircase/triangle parity structure.
 * **Anything else** -- a fallback prototype replays the incremental decoder
   so the fast path is safe for codes registered by third parties.
+
+The counting and LDGM decode loops run on a pluggable :mod:`repro.kernels`
+backend (vectorised numpy reference, C extension, optional numba JIT)
+selected via ``kernel=`` / ``REPRO_KERNEL``.
 
 Prototypes are cached on the code instance per kernel backend: compiling is
 itself vectorised and cheap, but a work unit should pay for it once, not
@@ -32,6 +35,7 @@ per run.
 from __future__ import annotations
 
 import abc
+import functools
 import threading
 from typing import Callable, Dict, Sequence, Tuple, Type, Union
 
@@ -59,7 +63,6 @@ class DecoderPrototype(abc.ABC):
         self.n = code.n
         self.kernel = get_backend(kernel)
 
-    @abc.abstractmethod
     def decode_batch(
         self, received: ReceivedInput
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -79,43 +82,54 @@ class DecoderPrototype(abc.ABC):
         n_necessary:
             ``int64`` array: the 1-based arrival position of the packet that
             completed decoding, or :data:`NOT_DECODED` for failed runs.
+
+        Raises
+        ------
+        ValueError
+            When a received index lies outside ``[0, n)``, or a run's
+            offset and length outside the batch's flat array: the kernels
+            index with them unchecked.
         """
+        batch = ReceivedBatch.coerce(received)
+        offsets, lengths = batch.offsets, batch.lengths
+        flat = batch.flat.astype(np.int64, copy=False)
+        # One pass: negative indices read as huge unsigned values.
+        if flat.size and int(flat.view(np.uint64).max()) >= self.n:
+            raise ValueError(f"received indices outside [0, {self.n})")
+        if offsets.size != lengths.size or (
+            lengths.size
+            and (
+                int(lengths.min()) < 0
+                or int(offsets.min()) < 0
+                or int((offsets + lengths).max()) > flat.size
+            )
+        ):
+            raise ValueError("received runs outside the batch's flat array")
+        return self._decode(batch)
+
+    @abc.abstractmethod
+    def _decode(self, batch: ReceivedBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode_batch` on a batch whose indices were checked."""
 
 
 # ---------------------------------------------------------------------------
-# Closed-form prototypes: MDS blocks and repetition.
+# Counting prototypes: MDS blocks and repetition.
 # ---------------------------------------------------------------------------
-
-#: "Never arrived" sentinel in the first-arrival position table; sorts after
-#: every real position, so reaching it in an order statistic means the
-#: group's distinct-count goal was not met.
-_NEVER = np.iinfo(np.int64).max
-
-#: Upper bound on the elements of one first-arrival position table
-#: (``runs x (keys_per_run + 1)`` int64); larger batches are decoded in
-#: run chunks to bound peak memory (~0.5 GB).
-_MAX_TABLE_ELEMENTS = 64_000_000
 
 
 class BlockCountPrototype(DecoderPrototype):
-    """Closed-form batch decoder for codes where decoding is a counting rule.
+    """Batch decoder for codes where decoding is a counting rule.
 
     Covers every code whose completion condition is "each group ``g`` has
     received ``needed[g]`` distinct keys": RSE blocks (key = packet index,
-    group = block) and repetition (key = group = source id).
-
-    The whole batch reduces to order statistics over first-arrival
-    positions, computed without a single sort:
-
-    1. one reversed scatter builds the ``(runs, keys)`` table of each
-       key's first arrival position (later stores win a fancy-indexing
-       scatter, so storing in reverse arrival order keeps the first),
-    2. a precompiled gather regroups the table's columns by group (groups
-       padded to a common width with a sentinel key that never arrives),
-    3. ``np.partition`` selects each group's ``needed``-th smallest
-       position -- an O(table) selection replacing the former
-       ``np.unique`` + ``lexsort`` passes, which dominated the closed-form
-       families' profile (~6x the remaining work at k = 1000).
+    group = block) and repetition (key = group = source id).  Packet index
+    ``i`` carries key ``key_of_index[i]``; a group with ``needed == 0`` is
+    reached before any arrival and one that needs more keys than it has is
+    never reached.  The prototype precompiles the counting tables and hands
+    the batch to its kernel backend's
+    :meth:`~repro.kernels.KernelBackend.block_count_decode_batch`: the
+    numpy closed form over first-arrival order statistics, or a compiled
+    kernel that walks each run once, counting distinct keys per group.
     """
 
     def __init__(
@@ -123,97 +137,65 @@ class BlockCountPrototype(DecoderPrototype):
         code: FECCode,
         group_of_key: np.ndarray,
         needed: np.ndarray,
-        key_of: Callable[[np.ndarray], np.ndarray],
-        keys_per_run: int,
+        key_of_index: np.ndarray,
         kernel: KernelSpec = None,
     ):
         super().__init__(code, kernel)
-        self._group_of_key = group_of_key
-        self._needed = needed
-        self._key_of = key_of
-        self._keys_per_run = int(keys_per_run)
-        self._num_groups = int(needed.size)
-        group_sizes = np.bincount(group_of_key, minlength=self._num_groups)
-        width = int(group_sizes.max()) if group_sizes.size else 0
-        # (groups, width) table of key ids, padded with the sentinel key
-        # ``keys_per_run`` (the position table's extra always-_NEVER column).
-        gather = np.full((self._num_groups, width), self._keys_per_run, dtype=np.int64)
-        order = np.argsort(group_of_key, kind="stable")
-        starts = np.zeros(self._num_groups, dtype=np.int64)
-        np.cumsum(group_sizes[:-1], out=starts[1:])
-        slot = np.arange(order.size, dtype=np.int64) - np.repeat(starts, group_sizes)
-        gather[group_of_key[order], slot] = order
-        self._gather = gather
-        #: Groups sharing a ``needed`` value are partitioned together.
-        self._classes = [
-            (int(value), np.nonzero(needed == value)[0])
-            for value in np.unique(needed)
-        ]
+        self.num_keys = int(np.size(group_of_key))
+        self.num_groups = int(np.size(needed))
+        if max(self.n, self.num_keys, self.num_groups) >= 1 << 31:
+            raise ValueError("code too large for the int32 counting tables")
+        #: Per-index key and per-key group tables, int32 like the LDGM
+        #: peel adjacency: half the cache footprint of int64.
+        self.key_of_index = np.ascontiguousarray(key_of_index, dtype=np.int32)
+        self.group_of_key = np.ascontiguousarray(group_of_key, dtype=np.int32)
+        self.needed = np.ascontiguousarray(needed, dtype=np.int64)
+        # The compiled walk indexes these tables unchecked.
+        tables = ((self.key_of_index, self.num_keys), (self.group_of_key, self.num_groups))
+        for table, bound in tables:
+            if table.size and (int(table.min()) < 0 or int(table.max()) >= bound):
+                raise ValueError("counting tables map outside their key/group range")
+        if self.key_of_index.size != self.n:
+            raise ValueError(f"key_of_index needs one key per packet index ({self.n})")
+        self._group_sizes = np.bincount(self.group_of_key, minlength=self.num_groups)
+        #: Groups the counting walk must reach; zero decodes every run at
+        #: ``n_necessary == 0``.
+        self.goal = int(np.count_nonzero(self.needed > 0))
         #: A group that needs more distinct keys than it has can never be
         #: reached; its order statistic would index out of the padded row.
-        self._impossible = np.nonzero(needed > group_sizes)[0]
+        self.impossible = np.nonzero(self.needed > self._group_sizes)[0]
+        #: Groups sharing a ``needed`` value are partitioned together.
+        self.needed_classes = [
+            (int(value), np.nonzero(self.needed == value)[0])
+            for value in np.unique(self.needed)
+        ]
 
-    def decode_batch(
-        self, received: ReceivedInput
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        batch = ReceivedBatch.coerce(received)
-        num_runs = batch.num_runs
-        table_width = self._keys_per_run + 1
-        chunk = max(1, _MAX_TABLE_ELEMENTS // table_width)
-        if num_runs > chunk:
-            decoded = np.zeros(num_runs, dtype=bool)
-            n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
-            for start in range(0, num_runs, chunk):
-                stop = min(start + chunk, num_runs)
-                decoded[start:stop], n_necessary[start:stop] = self._decode_chunk(
-                    batch.slice(start, stop)
-                )
-            return decoded, n_necessary
-        return self._decode_chunk(batch)
+    @functools.cached_property
+    def gather(self) -> np.ndarray:
+        """``(groups, width)`` table of key ids for the closed form.
 
-    def _decode_chunk(
-        self, batch: ReceivedBatch
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        num_runs = batch.num_runs
-        B = self._num_groups
-        table_width = self._keys_per_run + 1
-        first_position = np.full(num_runs * table_width, _NEVER, dtype=np.int64)
-        if batch.flat.size:
-            run_ids = np.repeat(
-                np.arange(num_runs, dtype=np.int64), batch.lengths
-            )
-            keys = self._key_of(batch.flat)
-            positions = np.arange(batch.flat.size, dtype=np.int64) - np.repeat(
-                batch.offsets, batch.lengths
-            )
-            cells = run_ids * np.int64(table_width) + keys
-            # Reversed scatter: duplicate keys collapse to their *first*
-            # arrival because the earliest store happens last.
-            first_position[cells[::-1]] = positions[::-1]
-        grouped = first_position.reshape(num_runs, table_width)[:, self._gather]
-        threshold = np.empty((num_runs, B), dtype=np.int64)
-        for needed, groups in self._classes:
-            # Clamped for malformed third-party inputs (needed beyond the
-            # group width is impossible and overwritten below; zero means
-            # trivially reached before any arrival).
-            kth = min(needed, grouped.shape[2]) - 1
-            if kth < 0:
-                threshold[:, groups] = -1
-                continue
-            statistic = np.partition(grouped[:, groups, :], kth, axis=2)
-            threshold[:, groups] = statistic[:, :, kth]
-        if self._impossible.size:
-            threshold[:, self._impossible] = _NEVER
-        decoded = (threshold < _NEVER).all(axis=1)
-        n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
-        n_necessary[decoded] = threshold[decoded].max(axis=1) + 1
-        return decoded, n_necessary
+        Groups are padded with the sentinel key ``num_keys`` (the position
+        table's extra always-never column).  Built on first use, so a
+        backend with a compiled counting kernel never holds it.
+        """
+        group_sizes = self._group_sizes
+        width = int(group_sizes.max()) if group_sizes.size else 0
+        gather = np.full((self.num_groups, width), self.num_keys, dtype=np.int64)
+        order = np.argsort(self.group_of_key, kind="stable")
+        starts = np.zeros(self.num_groups, dtype=np.int64)
+        np.cumsum(group_sizes[:-1], out=starts[1:])
+        slot = np.arange(order.size, dtype=np.int64) - np.repeat(starts, group_sizes)
+        gather[self.group_of_key[order], slot] = order
+        return gather
+
+    def _decode(self, batch: ReceivedBatch) -> Tuple[np.ndarray, np.ndarray]:
+        return self.kernel.block_count_decode_batch(self, batch)
 
 
 def compile_rse_prototype(code: FECCode, kernel: KernelSpec = None) -> BlockCountPrototype:
     """RSE: a block decodes once ``k_b`` distinct packets of it arrived."""
     layout = code.layout
-    block_of = np.empty(layout.n, dtype=np.int64)
+    block_of = np.empty(layout.n, dtype=np.int32)
     needed = np.empty(layout.num_blocks, dtype=np.int64)
     for block in layout.blocks:
         block_of[block.source_indices] = block.block_id
@@ -223,8 +205,7 @@ def compile_rse_prototype(code: FECCode, kernel: KernelSpec = None) -> BlockCoun
         code,
         group_of_key=block_of,
         needed=needed,
-        key_of=lambda indices: indices,
-        keys_per_run=layout.n,
+        key_of_index=np.arange(layout.n),
         kernel=kernel,
     )
 
@@ -238,8 +219,7 @@ def compile_repetition_prototype(
         code,
         group_of_key=np.zeros(k, dtype=np.int64),
         needed=np.array([k], dtype=np.int64),
-        key_of=lambda indices: indices % np.int64(k),
-        keys_per_run=k,
+        key_of_index=np.arange(code.n) % k,
         kernel=kernel,
     )
 
@@ -262,7 +242,9 @@ class LDGMPrototype(DecoderPrototype):
       packets from checkpointed state, with a chain-aware cascade that
       resolves whole staircase reveal chains in one scan;
     * the ``numba``/``python`` backends replay the incremental peel run by
-      run (the compiled form needs no batching to be fast).
+      run (the compiled form needs no batching to be fast);
+    * the ``cext`` backend runs the same per-run peel in C on the narrow
+      ``peel_*`` arrays.
 
     All backends return bit-identical ``(decoded, n_necessary)`` arrays.
     """
@@ -272,7 +254,7 @@ class LDGMPrototype(DecoderPrototype):
         matrix = code.matrix
         self.num_checks = matrix.num_checks
         self.row_ptr, self.row_cols = matrix.row_csr()
-        self.row_degrees = matrix.row_degrees()
+        row_degrees = matrix.row_degrees()
         self.col_indptr, self.col_rows = matrix.column_adjacency()
         self.num_edges = int(self.row_cols.size)
         row_sums = (
@@ -280,10 +262,19 @@ class LDGMPrototype(DecoderPrototype):
             if self.row_cols.size
             else np.zeros(self.num_checks, dtype=np.int64)
         )
-        row_sums[self.row_degrees == 0] = 0
-        self.row_sums = row_sums
-        #: Per-node degree, for the cascade's exact CSR edge expansion.
-        self.col_degrees = np.diff(self.col_indptr)
+        row_sums[row_degrees == 0] = 0
+        if max(self.n, self.num_edges, int(row_sums.max(initial=0))) >= 1 << 31:
+            raise ValueError(
+                "code too large for the int32 peel state "
+                "(n, the edge count and row id sums must stay below 2**31)"
+            )
+        #: Narrow peel state for the compiled per-run peel: the column
+        #: adjacency as int32 and one interleaved int32 ``(count, sum)``
+        #: pair per check row, so a row update touches 8 bytes.
+        self.peel_indptr = self.col_indptr.astype(np.int32)
+        self.peel_rows = self.col_rows.astype(np.int32)
+        self.peel_state = np.stack([row_degrees, row_sums], axis=1).astype(np.int32)
+        self.col_degrees = None
         self.row_packed = None
         self.col_rows_padded = None
         self.chain_expected = None
@@ -292,23 +283,25 @@ class LDGMPrototype(DecoderPrototype):
         self.parity_extra_degrees = None
         if self.kernel.stacks_batches:
             # Only the numpy lockstep cascade works on packed count|sum
-            # words; the per-run loop backends keep counts and sums in
-            # separate int64 arrays and have no size bound, so the packed
-            # constraint must not force them onto the incremental fallback.
+            # words; the per-run loop backends keep counts and sums as
+            # separate int64 values, so the packed constraint must not
+            # force them onto the incremental fallback.
             if self.row_cols.size and int(self.row_cols.max()) * int(
-                self.row_degrees.max()
+                row_degrees.max()
             ) >= 1 << COUNT_SHIFT:
                 raise ValueError(
                     "code too large for the packed peeling state "
                     f"(id sums must stay below 2**{COUNT_SHIFT})"
                 )
-            self.row_packed = (self.row_degrees << COUNT_SHIFT) + row_sums
+            self.row_packed = (row_degrees << COUNT_SHIFT) + row_sums
+            #: Per-node degree, for the cascade's exact CSR edge expansion.
+            self.col_degrees = np.diff(self.col_indptr)
             #: Degenerate matrices can carry rows whose INITIAL unknown
             #: count is already 1; the incremental decoder never peels
             #: from them (rows are only examined on decrement), so the
             #: cascade's full-state trigger scan must ignore them until
             #: they are actually touched.
-            self.has_unit_rows = bool((self.row_degrees == 1).any())
+            self.has_unit_rows = bool((row_degrees == 1).any())
             self.col_rows_padded = self._build_padded_adjacency()
             self.chain_expected = self._detect_chain()
             if self.chain_expected is not None:
@@ -316,6 +309,16 @@ class LDGMPrototype(DecoderPrototype):
                     self._build_parity_extras()
                 )
                 self.parity_extra_degrees = np.diff(self.parity_extra_indptr)
+
+    @property
+    def row_degrees(self) -> np.ndarray:
+        """Unknown count of every check row before any arrival (int64)."""
+        return self.peel_state[:, 0].astype(np.int64)
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        """Id sum of every check row's columns (int64)."""
+        return self.peel_state[:, 1].astype(np.int64)
 
     @property
     def chain_aware(self) -> bool:
@@ -381,7 +384,7 @@ class LDGMPrototype(DecoderPrototype):
         if num_checks < 2 or self.row_cols.size == 0:
             return None
         row_ids = np.repeat(
-            np.arange(num_checks, dtype=np.int64), self.row_degrees
+            np.arange(num_checks, dtype=np.int64), np.diff(self.row_ptr)
         )
         cols = self.row_cols
         own = np.zeros(num_checks, dtype=bool)
@@ -425,20 +428,18 @@ class LDGMPrototype(DecoderPrototype):
         np.cumsum(counts, out=indptr[1:])
         return indptr, extra_rows
 
-    def decode_batch(
-        self, received: ReceivedInput
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.kernel.ldgm_decode_batch(self, ReceivedBatch.coerce(received))
+    def _decode(self, batch: ReceivedBatch) -> Tuple[np.ndarray, np.ndarray]:
+        return self.kernel.ldgm_decode_batch(self, batch)
 
 
 def compile_ldgm_prototype(code: FECCode, kernel: KernelSpec = None) -> DecoderPrototype:
     try:
         return LDGMPrototype(code, kernel)
     except ValueError:
-        # Only the numpy lockstep backend has the packed-word size bound
-        # (hit around n in the millions, far outside the paper's range);
-        # it falls back to the incremental replay there, while the
-        # per-run loop backends never raise and keep their fast peel.
+        # Size bounds checked once at compile time: the numpy lockstep
+        # backend's packed words (hit around n in the millions) and the
+        # int32 peel adjacency (2**31 nodes or edges), both far outside
+        # the paper's range.  Such codes replay the incremental decoder.
         return IncrementalPrototype(code, kernel)
 
 
@@ -450,10 +451,7 @@ class IncrementalPrototype(DecoderPrototype):
     code and is also the reference the equivalence tests compare against.
     """
 
-    def decode_batch(
-        self, received: ReceivedInput
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        batch = ReceivedBatch.coerce(received)
+    def _decode(self, batch: ReceivedBatch) -> Tuple[np.ndarray, np.ndarray]:
         decoded = np.zeros(batch.num_runs, dtype=bool)
         n_necessary = np.full(batch.num_runs, NOT_DECODED, dtype=np.int64)
         for run, indices in enumerate(batch.sequences()):

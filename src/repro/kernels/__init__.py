@@ -1,8 +1,9 @@
 """Pluggable kernel backends for the decode hot loops.
 
-The fast path's remaining wall-clock cost is concentrated in three loops:
+The fast path's remaining wall-clock cost is concentrated in a few loops:
 the LDGM batch-peel cascade, the gallop+bisect prefix search it serves,
-and the Gilbert sojourn fill.  This package puts them behind a swappable
+the RSE/repetition distinct-key counting and the Gilbert sojourn fill.
+This package puts them behind a swappable
 :class:`~repro.kernels.base.KernelBackend`:
 
 * ``numpy`` -- the always-available vectorised reference, with a
@@ -10,9 +11,10 @@ and the Gilbert sojourn fill.  This package puts them behind a swappable
   structures.
 * ``numba`` -- the loop kernels of :mod:`repro.kernels.loops` JIT-compiled
   to machine code; auto-selected when numba is importable, never required.
-* ``cext`` -- the same kernels in C, compiled on demand with the system
-  compiler (``cc -O2``) and loaded via ctypes; auto-selected when numba
-  is absent but a compiler is present.
+* ``cext`` -- the same kernels in C, plus a one-pass counting kernel for
+  RSE/repetition (the other backends use the numpy closed form),
+  compiled on demand with the system compiler (``cc -O2``) and loaded via
+  ctypes; auto-selected when numba is absent but a compiler is present.
 * ``python`` -- the loop kernels uncompiled, so the compiled code paths
   stay testable without numba or a C toolchain.
 

@@ -1,10 +1,12 @@
 """Kernel-backend interface and the flattened received-batch container.
 
 A :class:`KernelBackend` owns the *hot loops* of the decode path -- the
-LDGM peeling cascade behind the gallop+bisect prefix search and the
-Gilbert sojourn draws and fill -- behind a small, swappable surface.
-Everything else (prototype compilation, closed-form RSE/repetition
-counting, the run/sweep orchestration) is backend-independent numpy.
+LDGM peel, the RSE/repetition distinct-key counting and the Gilbert
+sojourn draws and fill -- behind a small, swappable surface.  Everything
+else (prototype compilation, the run/sweep orchestration) is
+backend-independent numpy.  The counting decode has a numpy closed form
+here as the base default; a backend with a compiled counting kernel
+overrides it.
 
 All backends are **bit-identical**: for any input they must produce
 exactly the arrays the incremental reference decoder produces.  The test
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.fastpath.prototypes import LDGMPrototype
+    from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
 
 #: ``n_necessary`` sentinel in the integer result array of a batch decode
 #: for runs that never decode.
@@ -36,6 +38,16 @@ SUM_MASK = (1 << COUNT_SHIFT) - 1
 #: in the stacked state (the chain walk stops on it) without ever
 #: triggering a reveal.  No update ever lands on it.
 SENTINEL_WORD = np.int64(1) << (COUNT_SHIFT + 22)
+
+#: "Never arrived" sentinel in the closed form's first-arrival position
+#: table; sorts after every real position, so reaching it in an order
+#: statistic means the group's distinct-count goal was not met.
+_NEVER = np.iinfo(np.int64).max
+
+#: Upper bound on the elements of one first-arrival position table
+#: (``runs x (keys + 1)`` int64); larger batches are decoded in run chunks
+#: to bound peak memory (~0.5 GB).
+_MAX_TABLE_ELEMENTS = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,39 @@ class KernelBackend(abc.ABC):
         the packet completing decoding, ``-1`` where the run never decodes.
         """
 
+    def block_count_decode_batch(
+        self, prototype: "BlockCountPrototype", batch: ReceivedBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched counting decode: every group ``g`` needs ``needed[g]`` keys.
+
+        Returns ``(decoded, n_necessary)`` like :meth:`ldgm_decode_batch`;
+        with no group to reach (``prototype.goal == 0``) every run decodes
+        at ``n_necessary == 0``.  This default is the numpy closed form,
+        which reduces the batch to order statistics over first-arrival
+        positions without a single sort:
+
+        1. one reversed scatter builds the ``(runs, keys)`` table of each
+           key's first arrival position (later stores win a fancy-indexing
+           scatter, so storing in reverse arrival order keeps the first),
+        2. a precompiled gather regroups the table's columns by group
+           (groups padded to a common width with a sentinel key that never
+           arrives),
+        3. ``np.partition`` selects each group's ``needed``-th smallest
+           position.
+        """
+        num_runs = batch.num_runs
+        chunk = max(1, _MAX_TABLE_ELEMENTS // (prototype.num_keys + 1))
+        if num_runs <= chunk:
+            return _block_count_closed_form(prototype, batch)
+        decoded = np.zeros(num_runs, dtype=bool)
+        n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
+        for start in range(0, num_runs, chunk):
+            stop = min(start + chunk, num_runs)
+            decoded[start:stop], n_necessary[start:stop] = _block_count_closed_form(
+                prototype, batch.slice(start, stop)
+            )
+        return decoded, n_necessary
+
     @abc.abstractmethod
     def fill_sojourns(
         self,
@@ -215,6 +260,45 @@ class KernelBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def _block_count_closed_form(
+    prototype: "BlockCountPrototype", batch: ReceivedBatch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk of :meth:`KernelBackend.block_count_decode_batch`."""
+    num_runs = batch.num_runs
+    if prototype.goal == 0:
+        return np.ones(num_runs, dtype=bool), np.zeros(num_runs, dtype=np.int64)
+    table_width = prototype.num_keys + 1
+    first_position = np.full(num_runs * table_width, _NEVER, dtype=np.int64)
+    if batch.flat.size:
+        run_ids = np.repeat(np.arange(num_runs, dtype=np.int64), batch.lengths)
+        keys = prototype.key_of_index[batch.flat]
+        positions = np.arange(batch.flat.size, dtype=np.int64) - np.repeat(
+            batch.offsets, batch.lengths
+        )
+        cells = run_ids * np.int64(table_width) + keys
+        # Reversed scatter: duplicate keys collapse to their *first*
+        # arrival because the earliest store happens last.
+        first_position[cells[::-1]] = positions[::-1]
+    grouped = first_position.reshape(num_runs, table_width)[:, prototype.gather]
+    threshold = np.empty((num_runs, prototype.num_groups), dtype=np.int64)
+    for needed, groups in prototype.needed_classes:
+        # Clamped for malformed inputs (needed beyond the group width is
+        # impossible and overwritten below; zero means trivially reached
+        # before any arrival).
+        kth = min(needed, grouped.shape[2]) - 1
+        if kth < 0:
+            threshold[:, groups] = -1
+            continue
+        statistic = np.partition(grouped[:, groups, :], kth, axis=2)
+        threshold[:, groups] = statistic[:, :, kth]
+    if prototype.impossible.size:
+        threshold[:, prototype.impossible] = _NEVER
+    decoded = (threshold < _NEVER).all(axis=1)
+    n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
+    n_necessary[decoded] = threshold[decoded].max(axis=1) + 1
+    return decoded, n_necessary
 
 
 __all__ = [

@@ -1,23 +1,28 @@
-"""On-demand C extension backend: the loop kernels compiled with the
-system C compiler.
+"""On-demand C extension backend: the decode and channel loops compiled
+with the system C compiler.
 
-The same two kernels as :mod:`repro.kernels.loops`, written in C, plus
-``fill_gilbert``, which also draws the sojourns (numpy's own
-``random_geometric``, linked from its static ``libnpyrandom.a``),
-compiled once per machine with ``cc -O2 -shared -fPIC`` into a cache
-directory keyed by the source hash, and loaded through :mod:`ctypes` --
-no build-time dependency, no pip package, and fully optional: when no C
-compiler is available (or the compile fails, e.g. in a sandbox without a
-writable cache), importing this module raises ``ImportError`` and the
-registry treats the backend as unavailable, with ``auto`` falling back
-to the numpy reference.
+The kernels: ``ldgm_peel_batch`` (the per-run peel of
+:mod:`repro.kernels.loops`, on the prototype's narrow int32 adjacency
+and interleaved count/sum rows), ``block_count_batch`` (the RSE /
+repetition distinct-key counting decode, which the other backends run as
+the numpy closed form of :class:`~repro.kernels.KernelBackend`),
+``fill_sojourns`` / ``fill_sojourns_batch`` and ``fill_gilbert``, which
+also draws the sojourns (numpy's own ``random_geometric``, linked from
+its static ``libnpyrandom.a``).  So cext decodes every code family in one
+C call per work unit.  The library is compiled once per machine with
+``cc -O2 -shared -fPIC`` into a cache directory keyed by the source hash,
+and loaded through :mod:`ctypes` -- no build-time dependency, no pip
+package, and fully optional: when no C compiler is available (or the
+compile fails, e.g. in a sandbox without a writable cache), importing
+this module raises ``ImportError`` and the registry treats the backend
+as unavailable, with ``auto`` falling back to the numpy reference.
 
 The per-run loops are row-parallel with OpenMP when the probe compile
 with ``-fopenmp`` succeeds; when it fails the build falls back to a
 pthread-free serial library with one logged warning (the ``#pragma omp``
 lines are inert without the flag, so both builds share one source).
 Runs are independent rows -- each writes only its own output slot and
-peels on per-thread scratch, and there are no cross-run reductions in
+works on per-thread scratch, and there are no cross-run reductions in
 these kernels (the lockstep probe reductions live in the numpy backend,
 which stays serial) -- so 1 thread and N threads are bit-identical and
 the thread count (``REPRO_KERNEL_THREADS`` / ``kernel_threads=`` /
@@ -26,8 +31,9 @@ for the duration of every foreign call, which is what lets thread-
 executor workers overlap these kernels on top of kernel threads.
 
 Like the numba backend, this is a pure wall-clock knob: the C loops
-mirror :mod:`repro.kernels.loops` statement for statement, and the
-cross-backend equivalence suite pins them to the incremental decoder.
+mirror :mod:`repro.kernels.loops` statement for statement, the counting
+walk reproduces the closed form's outcomes, and the cross-backend
+equivalence suite pins them all to the incremental decoder.
 """
 
 from __future__ import annotations
@@ -49,15 +55,18 @@ from repro.kernels.base import NOT_DECODED, KernelBackend, ReceivedBatch
 from repro.kernels.threads import current_thread_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fastpath.prototypes import LDGMPrototype
+    from repro.fastpath.prototypes import BlockCountPrototype, LDGMPrototype
 
 logger = logging.getLogger("repro.kernels")
 
 #: C translation of :func:`repro.kernels.loops.ldgm_peel_batch`,
-#: :func:`repro.kernels.loops.fill_sojourns` and
-#: :meth:`repro.kernels.base.KernelBackend.fill_gilbert`.  Keep them in
-#: lockstep: the cross-backend tests enforce bit-identical behaviour, and
-#: the Python code is the readable specification of these kernels.
+#: :func:`repro.kernels.loops.fill_sojourns`,
+#: :meth:`repro.kernels.base.KernelBackend.fill_gilbert` and a counting
+#: walk with the outcomes of
+#: :meth:`repro.kernels.base.KernelBackend.block_count_decode_batch`.
+#: Keep them in lockstep: the cross-backend tests enforce bit-identical
+#: behaviour, and the Python code is the readable specification of these
+#: kernels.
 #:
 #: Without ``-fopenmp`` the pragmas are ignored and ``_OPENMP`` is
 #: undefined, so the same source builds the serial fallback library.
@@ -85,17 +94,19 @@ int peel_openmp(void)
 }
 
 void ldgm_peel_batch(
-    const int64_t *col_indptr, const int64_t *col_rows,
-    const int64_t *init_counts, const int64_t *init_sums,
+    const int32_t *col_indptr, const int32_t *col_rows,
+    const int32_t *init_state,
     const int64_t *flat, const int64_t *offsets, const int64_t *lengths,
     int64_t num_runs, int64_t k, int64_t n, int64_t num_checks,
-    int64_t *counts, int64_t *sums, uint8_t *known, int64_t *stack,
+    int32_t *state, uint8_t *known, int32_t *stack,
     uint8_t *decoded, int64_t *n_necessary, int64_t num_threads)
 {
     /* Runs are independent rows: every run writes only decoded[run] /
        n_necessary[run] and works on its thread's private scratch slice,
        so the parallel schedule cannot affect results.  num_threads is
-       the caller-resolved team size; scratch is (num_threads, ...). */
+       the caller-resolved team size; scratch is (num_threads, ...).
+       state holds one interleaved (unknown count, id sum) pair per check
+       row, so each edge update touches a single cache line. */
     (void)num_threads;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic) num_threads((int)num_threads)
@@ -105,25 +116,23 @@ void ldgm_peel_batch(
 #ifdef _OPENMP
         slot = (int64_t)omp_get_thread_num();
 #endif
-        int64_t *counts_t = counts + slot * num_checks;
-        int64_t *sums_t = sums + slot * num_checks;
+        int32_t *state_t = state + slot * 2 * num_checks;
         uint8_t *known_t = known + slot * n;
-        int64_t *stack_t = stack + slot * (num_checks + 2);
-        memcpy(counts_t, init_counts, (size_t)num_checks * sizeof(int64_t));
-        memcpy(sums_t, init_sums, (size_t)num_checks * sizeof(int64_t));
+        int32_t *stack_t = stack + slot * (num_checks + 2);
+        memcpy(state_t, init_state, (size_t)num_checks * 2 * sizeof(int32_t));
         memset(known_t, 0, (size_t)n);
         int64_t sources = 0;
         int64_t start = offsets[run];
         int64_t end = start + lengths[run];
         int complete = 0;
         for (int64_t pos = start; pos < end && !complete; pos++) {
-            int64_t node = flat[pos];
+            int32_t node = (int32_t)flat[pos];
             if (known_t[node])
                 continue; /* duplicate or already recovered: a no-op */
             int64_t top = 0;
             stack_t[0] = node;
             while (top >= 0) {
-                int64_t v = stack_t[top--];
+                int32_t v = stack_t[top--];
                 if (known_t[v])
                     continue;
                 known_t[v] = 1;
@@ -134,13 +143,12 @@ void ldgm_peel_batch(
                     complete = 1;
                     break;
                 }
-                for (int64_t e = col_indptr[v]; e < col_indptr[v + 1]; e++) {
-                    int64_t r = col_rows[e];
-                    counts_t[r] -= 1;
-                    sums_t[r] -= v;
-                    if (counts_t[r] == 1) {
+                for (int32_t e = col_indptr[v]; e < col_indptr[v + 1]; e++) {
+                    int32_t *row = state_t + 2 * (int64_t)col_rows[e];
+                    row[1] -= v;
+                    if (--row[0] == 1) {
                         /* one unknown left: its id sum IS the node */
-                        int64_t u = sums_t[r];
+                        int32_t u = row[1];
                         if (!known_t[u])
                             stack_t[++top] = u;
                     }
@@ -148,6 +156,55 @@ void ldgm_peel_batch(
             }
         }
         decoded[run] = (uint8_t)complete;
+    }
+}
+
+void block_count_batch(
+    const int32_t *key_of_index, const int32_t *group_of_key,
+    const int64_t *needed, int64_t num_keys, int64_t num_groups, int64_t goal,
+    const int64_t *flat, const int64_t *offsets, const int64_t *lengths,
+    int64_t num_runs, uint8_t *seen, int64_t *counts,
+    uint8_t *decoded, int64_t *n_necessary, int64_t num_threads)
+{
+    /* Counting decode, row-parallel like the peel: a run walks its
+       received indices once, skips keys it has seen, and decodes at the
+       arrival that brings the last of its `goal` groups to `needed`
+       distinct keys.  A group needing 0 keys is not in `goal` (reached
+       before any arrival); one needing more keys than it has never
+       reaches `needed`, so its runs never decode. */
+    (void)num_threads;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic) num_threads((int)num_threads)
+#endif
+    for (int64_t run = 0; run < num_runs; run++) {
+        if (goal == 0) {
+            decoded[run] = 1;
+            n_necessary[run] = 0;
+            continue;
+        }
+        int64_t slot = 0;
+#ifdef _OPENMP
+        slot = (int64_t)omp_get_thread_num();
+#endif
+        uint8_t *seen_t = seen + slot * num_keys;
+        int64_t *counts_t = counts + slot * num_groups;
+        memset(seen_t, 0, (size_t)num_keys);
+        memset(counts_t, 0, (size_t)num_groups * sizeof(int64_t));
+        int64_t remaining = goal;
+        int64_t start = offsets[run];
+        int64_t end = start + lengths[run];
+        for (int64_t pos = start; pos < end; pos++) {
+            int32_t key = key_of_index[flat[pos]];
+            if (seen_t[key])
+                continue; /* duplicate arrival or repetition copy */
+            seen_t[key] = 1;
+            int32_t group = group_of_key[key];
+            if (++counts_t[group] == needed[group] && --remaining == 0) {
+                n_necessary[run] = pos - start + 1;
+                decoded[run] = 1;
+                break;
+            }
+        }
     }
 }
 
@@ -214,6 +271,7 @@ void fill_sojourns_batch(
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
+_I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
@@ -371,9 +429,14 @@ def _load_library() -> ctypes.CDLL:
     lib.peel_openmp.argtypes = []
     lib.ldgm_peel_batch.restype = None
     lib.ldgm_peel_batch.argtypes = [
-        _I64, _I64, _I64, _I64, _I64, _I64, _I64,
+        _I32, _I32, _I32, _I64, _I64, _I64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _U8, _I64, _U8, _I64, ctypes.c_int64,
+        _I32, _U8, _I32, _U8, _I64, ctypes.c_int64,
+    ]
+    lib.block_count_batch.restype = None
+    lib.block_count_batch.argtypes = [
+        _I32, _I32, _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _I64, _I64, _I64, ctypes.c_int64, _U8, _I64, _U8, _I64, ctypes.c_int64,
     ]
     lib.fill_sojourns.restype = ctypes.c_int64
     lib.fill_sojourns.argtypes = [
@@ -440,18 +503,16 @@ class CExtBackend(KernelBackend):
             # One scratch slice per thread: rows of these (threads, ...)
             # arrays are private to their OpenMP thread, which is what
             # keeps N-thread peeling bit-identical to 1-thread.
-            counts = np.empty((threads, num_checks), dtype=np.int64)
-            sums = np.empty((threads, num_checks), dtype=np.int64)
+            state = np.empty((threads, num_checks, 2), dtype=np.int32)
             known = np.empty((threads, prototype.n), dtype=np.uint8)
-            stack = np.empty((threads, num_checks + 2), dtype=np.int64)
+            stack = np.empty((threads, num_checks + 2), dtype=np.int32)
             flat = _i64(batch.flat)
             offsets = _i64(batch.offsets)
             lengths = _i64(batch.lengths)
             self._lib.ldgm_peel_batch(
-                prototype.col_indptr.ctypes.data_as(_I64),
-                prototype.col_rows.ctypes.data_as(_I64),
-                prototype.row_degrees.ctypes.data_as(_I64),
-                prototype.row_sums.ctypes.data_as(_I64),
+                prototype.peel_indptr.ctypes.data_as(_I32),
+                prototype.peel_rows.ctypes.data_as(_I32),
+                prototype.peel_state.ctypes.data_as(_I32),
                 flat.ctypes.data_as(_I64),
                 offsets.ctypes.data_as(_I64),
                 lengths.ctypes.data_as(_I64),
@@ -459,10 +520,43 @@ class CExtBackend(KernelBackend):
                 prototype.k,
                 prototype.n,
                 num_checks,
-                counts.ctypes.data_as(_I64),
-                sums.ctypes.data_as(_I64),
+                state.ctypes.data_as(_I32),
                 known.ctypes.data_as(_U8),
-                stack.ctypes.data_as(_I64),
+                stack.ctypes.data_as(_I32),
+                decoded.ctypes.data_as(_U8),
+                n_necessary.ctypes.data_as(_I64),
+                threads,
+            )
+        return decoded.astype(bool), n_necessary
+
+    def block_count_decode_batch(
+        self, prototype: "BlockCountPrototype", batch: ReceivedBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        num_runs = batch.num_runs
+        decoded = np.zeros(num_runs, dtype=np.uint8)
+        n_necessary = np.full(num_runs, NOT_DECODED, dtype=np.int64)
+        if num_runs:
+            threads = self._team_size(num_runs)
+            # Per-thread scratch, as in the peel: seen-key bytes and
+            # per-group distinct counts.
+            seen = np.empty((threads, prototype.num_keys), dtype=np.uint8)
+            counts = np.empty((threads, prototype.num_groups), dtype=np.int64)
+            flat = _i64(batch.flat)
+            offsets = _i64(batch.offsets)
+            lengths = _i64(batch.lengths)
+            self._lib.block_count_batch(
+                prototype.key_of_index.ctypes.data_as(_I32),
+                prototype.group_of_key.ctypes.data_as(_I32),
+                prototype.needed.ctypes.data_as(_I64),
+                prototype.num_keys,
+                prototype.num_groups,
+                prototype.goal,
+                flat.ctypes.data_as(_I64),
+                offsets.ctypes.data_as(_I64),
+                lengths.ctypes.data_as(_I64),
+                num_runs,
+                seen.ctypes.data_as(_U8),
+                counts.ctypes.data_as(_I64),
                 decoded.ctypes.data_as(_U8),
                 n_necessary.ctypes.data_as(_I64),
                 threads,

@@ -14,8 +14,8 @@ data for a whole work unit at once:
 3. **Assembly** -- the surviving indices are gathered by one boolean
    selection straight into the flat layout of a
    :class:`~repro.kernels.ReceivedBatch`; per-run arrays are never
-   materialised, and the schedule is bounds-checked **once per work unit**
-   instead of per run.
+   materialised.  The received indices are bounds-checked once, where the
+   batch enters :meth:`~repro.fastpath.DecoderPrototype.decode_batch`.
 
 Every stage is **bit-identical** to the per-run reference for any seed: the
 batch APIs consume the generators exactly as the serial calls would (in run
@@ -74,18 +74,6 @@ def _empty_synthesis() -> SynthesizedRuns:
         batch=ReceivedBatch(flat=zeros, offsets=zeros.copy(), lengths=zeros.copy()),
         n_sent=zeros.copy(),
     )
-
-
-def _check_received_bounds(flat: np.ndarray, n: int) -> None:
-    """One bounds check per work unit (the per-run check this replaces).
-
-    The vectorised decoders stack runs into one flat index space, so an
-    out-of-range index would silently corrupt a *neighbour* run instead of
-    raising; checking the flattened received indices once covers every run
-    at the cost of a single min/max scan.
-    """
-    if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= n):
-        raise ValueError(f"schedule contains indices outside [0, {n})")
 
 
 def _all_distinct(rngs: Sequence[np.random.Generator]) -> bool:
@@ -185,7 +173,6 @@ def _assemble_dense(
     # indices in arrival order, then run 1's, ... -- exactly the flat
     # layout of a ReceivedBatch, with no per-run arrays in between.
     flat = schedules[kept]
-    _check_received_bounds(flat, layout.n)
     return SynthesizedRuns(
         batch=ReceivedBatch(flat=flat, offsets=offsets, lengths=lengths),
         n_sent=np.full(runs, width, dtype=np.int64),
@@ -281,7 +268,6 @@ def _assemble_ragged(
         n_sent[index] = schedule.size
         received.append(schedule[~loss])
     batch = ReceivedBatch.from_sequences(received)
-    _check_received_bounds(batch.flat, layout.n)
     return SynthesizedRuns(batch=batch, n_sent=n_sent)
 
 
@@ -317,7 +303,6 @@ def _synthesize_interleaved(
         n_sent[index] = schedule.size
         received.append(schedule[~loss])
     batch = ReceivedBatch.from_sequences(received)
-    _check_received_bounds(batch.flat, layout.n)
     return SynthesizedRuns(batch=batch, n_sent=n_sent)
 
 

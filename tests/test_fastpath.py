@@ -211,6 +211,71 @@ class TestPrototypes:
         assert (necessary == NOT_DECODED).all()
 
 
+class TestReceivedBounds:
+    """``decode_batch`` checks every received index against ``[0, n)``."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_ldgm_out_of_range_raises_instead_of_crashing(self, kernel):
+        # The compiled peel indexes its tables unchecked: this batch used
+        # to crash the interpreter on cext.
+        prototype = compile_prototype(make_code("ldgm-staircase", 20, n=50, seed=0), kernel)
+        with pytest.raises(ValueError, match=r"outside \[0, 50\)"):
+            prototype.decode_batch([np.array([50, 51, 10**6])])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rse_out_of_range_does_not_bleed_into_neighbour_run(self, kernel):
+        # Keys >= n used to land in the next run's row of the stacked
+        # first-arrival table and report the empty run as decoded.
+        prototype = compile_prototype(make_code("rse", k=5, n=10), kernel)
+        with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+            prototype.decode_batch(
+                [np.array([11, 12, 13, 14, 15, 16]), np.array([], dtype=np.int64)]
+            )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name,ratio", CODES)
+    @pytest.mark.parametrize("bad", [-1, 0])
+    def test_every_family_and_the_fallback_reject(self, name, ratio, bad, kernel):
+        code = make_code(name, k=20, expansion_ratio=ratio, seed=0)
+        index = bad if bad < 0 else code.n
+        received = [np.arange(code.n, dtype=np.int64), np.array([3, index, 4])]
+        for prototype in (compile_prototype(code, kernel), IncrementalPrototype(code, kernel)):
+            with pytest.raises(ValueError, match="outside"):
+                prototype.decode_batch(received)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "offsets,lengths", [([0, 2], [2, 2]), ([0, -1], [1, 1]), ([0, 1], [1, -1]), ([0], [1, 1])]
+    )
+    def test_runs_outside_flat_array_rejected(self, offsets, lengths, kernel):
+        from repro.kernels import ReceivedBatch
+
+        batch = ReceivedBatch(
+            flat=np.array([0, 1, 2], dtype=np.int64),
+            offsets=np.array(offsets, dtype=np.int64),
+            lengths=np.array(lengths, dtype=np.int64),
+        )
+        for name in ("ldgm-staircase", "rse"):
+            prototype = compile_prototype(make_code(name, 20, n=50, seed=0), kernel)
+            with pytest.raises(ValueError, match="flat array"):
+                prototype.decode_batch(batch)
+
+    def test_in_range_edges_accepted(self):
+        code = make_code("rse", k=5, n=10)
+        decoded, necessary = compile_prototype(code).decode_batch(
+            [np.array([0, 9, 1, 8, 2]), np.array([], dtype=np.int64)]
+        )
+        assert decoded.tolist() == [True, False]
+        assert necessary.tolist() == [5, NOT_DECODED]
+
+    def test_ldgm_beyond_int32_falls_back_to_incremental(self):
+        from repro.fastpath.prototypes import compile_ldgm_prototype
+
+        code = make_code("ldgm-staircase", 20, n=50, seed=0)
+        code._n = 1 << 31  # what the int32 peel adjacency cannot index
+        assert isinstance(compile_ldgm_prototype(code), IncrementalPrototype)
+
+
 class TestGilbertVectorisedFill:
     def test_bit_identical_to_serial_chain(self):
         grid = [0.0, 1e-12, 0.01, 0.05, 0.3, 0.5, 0.9, 1.0]

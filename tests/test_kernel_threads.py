@@ -119,8 +119,12 @@ class TestThreadSpec:
 # ---------------------------------------------------------------------------
 
 
-def _batch_args(k: int = 120):
-    code = make_code("ldgm-staircase", k=k, expansion_ratio=2.5, seed=3)
+#: Expansion ratio per code family (repetition needs an integer one).
+_RATIOS = {"ldgm-staircase": 2.5, "rse": 2.5, "repetition": 2.0}
+
+
+def _batch_args(k: int = 120, code: str = "ldgm-staircase"):
+    code = make_code(code, k=k, expansion_ratio=_RATIOS[code], seed=3)
     return code, make_tx_model("tx_model_2"), GilbertChannel(0.08, 0.4)
 
 
@@ -136,9 +140,10 @@ def _streams(scheme: str, count: int, seed: int = 17):
 @needs_cext
 class TestThreadedKernelBitIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_cext_threads_match_numpy_reference(self, scheme, threads):
-        code, tx_model, channel = _batch_args()
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("code_name", sorted(_RATIOS))
+    def test_cext_threads_match_numpy_reference(self, code_name, scheme, threads):
+        code, tx_model, channel = _batch_args(code=code_name)
         reference = simulate_batch_columnar(
             code, tx_model, channel, _streams(scheme, 40), kernel="numpy"
         )
